@@ -1,124 +1,23 @@
-"""Fast Walsh-Hadamard transform algorithms as bit-matrix sequences."""
+"""Fast Walsh-Hadamard transform algorithms as bit-matrix sequences.
 
-from .algorithm import AlgorithmSeq, reversed_inverted, seq_product
-from .catalog import CATALOG, iterative_ct, pease, pease_transpose, to_sequency
-from .config import Limits, SizeLimitError, active_limits
-from .dot import export_dot
-from .factory import (
-    FactorTuple,
-    MemberSurvey,
-    build,
-    enumerate_bit_index_members,
-    enumerate_members,
-    factorize,
-    sample_member,
-    survey_members,
-)
-from .gf2 import (
-    BitMatrix,
-    DimensionError,
-    SingularError,
-    identity,
-    parity,
-    reversal_matrix,
-    rotation_matrix,
-)
-from .groups import (
-    count_algorithms,
-    count_algorithms_simplified,
-    count_bit_index_algorithms,
-    count_gl,
-    enumerate_gl,
-    enumerate_perm,
-    sample_gl,
-)
-from .membership import (
-    CheckReport,
-    ConditionError,
-    NotMemberError,
-    check_corner_condition,
-    check_membership,
-    find_counterexample,
-    is_member,
-    predict_plus_set,
-    spreading_matrix,
-)
-from .oracle import (
-    DependencySets,
-    dependency_sets,
-    evaluate,
-    evaluate_partial,
-    hadamard,
-)
-from .textio import (
-    AlgorithmDocument,
-    ParseError,
-    format_document,
-    format_factors,
-    format_sequence,
-    parse_document,
-    parse_factors,
-    parse_sequence,
-)
+Each module declares its public names in its own ``__all__``; this
+package re-exports exactly those.
+"""
+
+from . import algorithm, catalog, config, dot, factory, gf2, groups, membership, oracle, textio
+from .algorithm import *  # noqa: F401,F403
+from .catalog import *  # noqa: F401,F403
+from .config import *  # noqa: F401,F403
+from .dot import *  # noqa: F401,F403
+from .factory import *  # noqa: F401,F403
+from .gf2 import *  # noqa: F401,F403
+from .groups import *  # noqa: F401,F403
+from .membership import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .textio import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgorithmSeq",
-    "reversed_inverted",
-    "seq_product",
-    "CATALOG",
-    "iterative_ct",
-    "pease",
-    "pease_transpose",
-    "to_sequency",
-    "Limits",
-    "SizeLimitError",
-    "active_limits",
-    "export_dot",
-    "FactorTuple",
-    "MemberSurvey",
-    "build",
-    "enumerate_bit_index_members",
-    "enumerate_members",
-    "factorize",
-    "sample_member",
-    "survey_members",
-    "BitMatrix",
-    "DimensionError",
-    "SingularError",
-    "identity",
-    "parity",
-    "reversal_matrix",
-    "rotation_matrix",
-    "count_algorithms",
-    "count_algorithms_simplified",
-    "count_bit_index_algorithms",
-    "count_gl",
-    "enumerate_gl",
-    "enumerate_perm",
-    "sample_gl",
-    "CheckReport",
-    "ConditionError",
-    "NotMemberError",
-    "check_corner_condition",
-    "check_membership",
-    "find_counterexample",
-    "is_member",
-    "predict_plus_set",
-    "spreading_matrix",
-    "DependencySets",
-    "dependency_sets",
-    "evaluate",
-    "evaluate_partial",
-    "hadamard",
-    "AlgorithmDocument",
-    "ParseError",
-    "format_document",
-    "format_factors",
-    "format_sequence",
-    "parse_document",
-    "parse_factors",
-    "parse_sequence",
-    "__version__",
-]
+_MODULES = (algorithm, catalog, config, dot, factory, gf2, groups, membership, oracle, textio)
+
+__all__ = [name for module in _MODULES for name in module.__all__] + ["__version__"]

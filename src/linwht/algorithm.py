@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from .config import N_MAX
 from .gf2 import BitMatrix, DimensionError, SingularError, identity
 
 __all__ = ["AlgorithmSeq", "seq_product", "reversed_inverted"]
@@ -27,9 +28,9 @@ class AlgorithmSeq:
     matrices: tuple[BitMatrix, ...]
 
     def __post_init__(self):
-        if len(self.matrices) < 2:
-            raise DimensionError("an algorithm needs at least two stage matrices")
         n = len(self.matrices) - 1
+        if not 1 <= n <= N_MAX:
+            raise DimensionError(f"an algorithm needs 2..{N_MAX + 1} stage matrices, got {n + 1}")
         for idx, m in enumerate(self.matrices):
             if m.rows != n or m.cols != n:
                 raise DimensionError(

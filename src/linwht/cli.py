@@ -10,10 +10,11 @@ from typing import Optional
 
 from .algorithm import AlgorithmSeq, seq_product
 from .catalog import CATALOG, to_sequency
-from .config import SizeLimitError, active_limits
+from .config import N_MAX, SizeLimitError, active_limits
 from .dot import export_dot
 from .factory import (
     build,
+    census,
     enumerate_bit_index_members,
     enumerate_members,
     factorize,
@@ -23,6 +24,7 @@ from .groups import (
     count_algorithms,
     count_algorithms_simplified,
     count_bit_index_algorithms,
+    exact_str,
 )
 from .membership import NotMemberError, check_corner_condition, check_membership, spreading_matrix
 from .oracle import evaluate, hadamard
@@ -43,6 +45,12 @@ def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
     return Path(path).read_text()
+
+
+def _check_size(n: int) -> int:
+    if not 1 <= n <= N_MAX:
+        raise ValueError(f"n must be in 1..{N_MAX}, got {n}")
+    return n
 
 
 def _check_one(P: AlgorithmSeq, mode: str) -> tuple[bool, Optional[str]]:
@@ -73,9 +81,9 @@ def _cmd_check(args) -> int:
 def _cmd_count(args) -> int:
     n = args.n
     print(f"n={n}")
-    print(f"members             {count_algorithms(n)}")
-    print(f"members-simplified  {count_algorithms_simplified(n)}")
-    print(f"bit-index           {count_bit_index_algorithms(n)}")
+    print(f"members             {exact_str(count_algorithms(n))}")
+    print(f"members-simplified  {exact_str(count_algorithms_simplified(n))}")
+    print(f"bit-index           {exact_str(count_bit_index_algorithms(n))}")
     return 0
 
 
@@ -90,33 +98,22 @@ def _format_row(P: AlgorithmSeq, table: bool) -> str:
 
 def _cmd_enumerate(args) -> int:
     source = enumerate_bit_index_members if args.bit_index else enumerate_members
-    reference = hadamard(args.n) if args.verify_oracle else None
-    raw = 0
-    distinct = 0
-    verified = 0
-    failed = 0
-    seen: set[str] = set()
-    for P in source(args.n, dedupe=False):
-        raw += 1
-        if args.dedupe:
-            k = P.key()
-            if k in seen:
-                continue
-            seen.add(k)
-        distinct += 1
-        if reference is not None:
-            if (evaluate(P) == reference).all():
-                verified += 1
-            else:
-                failed += 1
-        print(_format_row(P, args.format == "table"))
-    summary = f"# raw={raw}"
+    table = args.format == "table"
+    survey = census(
+        source(args.n),
+        args.n,
+        dedupe=args.dedupe,
+        verify=args.verify_oracle,
+        verify_oracle=args.verify_oracle,
+        emit=lambda P: print(_format_row(P, table)),
+    )
+    summary = f"# raw={survey.raw}"
     if args.dedupe:
-        summary += f" distinct={distinct}"
-    if reference is not None:
-        summary += f" verified={verified}"
+        summary += f" distinct={survey.distinct}"
+    if args.verify_oracle:
+        summary += f" verified={survey.verified}"
     print(summary)
-    return 1 if failed else 0
+    return 1 if args.verify_oracle and survey.verified < survey.distinct else 0
 
 
 def _cmd_sample(args) -> int:
@@ -159,7 +156,9 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s]
+    sizes = [_check_size(int(s)) for s in args.sizes.split(",") if s]
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
     for n in sizes:
         P = sample_member(n, seed=n)
         best = min(
@@ -247,6 +246,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if "n" in vars(args):
+            _check_size(args.n)
         return args.func(args)
     except NotMemberError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,11 @@
-"""Runtime size limits.
+"""Size bounds, all in one place.
 
-The bit-matrix core handles any dimension the packed representation can
-hold, but the dense evaluator and the dataflow exporter materialise
-2^n-sized objects and are therefore guarded.  Setting the environment
-variable ``WHT_MAX_N`` replaces both of those guards at call time; the
-packed-row dimension bound ``N_MAX`` is a representation contract and
-stays fixed.
+``N_MAX`` is the representation contract: every stage sequence, parsed
+file and CLI size has 1 <= n <= N_MAX.  The ``*_ENUM_MAX`` bounds cap
+exhaustive enumeration.  The dense evaluator and the dataflow exporter
+materialise 2^n-sized objects and are guarded further; setting the
+environment variable ``WHT_MAX_N`` replaces both of those guards at
+call time.
 """
 
 from __future__ import annotations
@@ -13,7 +13,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+__all__ = ["Limits", "SizeLimitError", "active_limits"]
+
 N_MAX = 64
+MEMBER_ENUM_MAX = 3
+BIT_INDEX_ENUM_MAX = 4
+GL_ENUM_MAX = 5
 
 ENV_MAX_N = "WHT_MAX_N"
 
@@ -24,7 +29,6 @@ class SizeLimitError(ValueError):
 
 @dataclass(frozen=True)
 class Limits:
-    n_max: int = N_MAX
     oracle_max_n: int = 14
     export_max_n: int = 6
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .algorithm import AlgorithmSeq
-from .config import N_MAX
-from .gf2 import BitMatrix, DimensionError, rotation_matrix
+from .config import BIT_INDEX_ENUM_MAX, MEMBER_ENUM_MAX, N_MAX
+from .gf2 import BitMatrix, DimensionError, SingularError, rotation_matrix
 from .groups import enumerate_gl, enumerate_perm, random_invertible
 from .membership import NotMemberError, check_membership, spreading_matrix
 from .oracle import evaluate, hadamard
@@ -38,9 +38,6 @@ __all__ = [
     "survey_members",
 ]
 
-MEMBER_ENUM_MAX = 3
-BIT_INDEX_ENUM_MAX = 4
-
 
 @dataclass(frozen=True)
 class FactorTuple:
@@ -53,8 +50,8 @@ class FactorTuple:
         n = self.b.rows
         if not self.b.is_square() or n < 1:
             raise DimensionError(f"B must be square of size >= 1, got {self.b.rows}x{self.b.cols}")
-        if not self.b.is_invertible():
-            raise ValueError("B must be invertible")
+        if (rank := self.b.rank()) != n:
+            raise SingularError(f"B is singular (rank {rank} of {n})", rank)
         if len(self.qs) != n:
             raise DimensionError(f"need exactly {n} inner matrices, got {len(self.qs)}")
         for i, q in enumerate(self.qs, start=1):
@@ -62,8 +59,8 @@ class FactorTuple:
                 raise DimensionError(
                     f"inner matrix {i} must be {n - 1}x{n - 1}, got {q.rows}x{q.cols}"
                 )
-            if not q.is_invertible():
-                raise ValueError(f"inner matrix {i} must be invertible")
+            if (rank := q.rank()) != n - 1:
+                raise SingularError(f"inner matrix {i} is singular (rank {rank} of {n - 1})", rank)
 
     @property
     def n(self) -> int:
@@ -118,49 +115,32 @@ def factorize(P: AlgorithmSeq) -> FactorTuple:
 def sample_member(n: int, seed: Optional[int] = None) -> AlgorithmSeq:
     """Uniform draw from the member set (uniform over factor tuples)."""
     if not 1 <= n <= N_MAX:
-        raise ValueError(f"n must be in 1..{N_MAX}, got {n}")
+        raise DimensionError(f"n must be in 1..{N_MAX}, got {n}")
     rng = random.Random(seed)
     b = random_invertible(n, rng)
     qs = tuple(random_invertible(n - 1, rng) for _ in range(n))
     return build(FactorTuple(b, qs))
 
 
-def _factor_tuples(n: int, bit_index: bool) -> Iterator[FactorTuple]:
-    outer = enumerate_perm if bit_index else enumerate_gl
+def _members(
+    n: int, outer: Callable[[int], Iterator[BitMatrix]], bound: int, what: str
+) -> Iterator[AlgorithmSeq]:
+    if not 1 <= n <= bound:
+        raise ValueError(f"{what} supported for 1 <= n <= {bound}")
     inner = list(outer(n - 1))
     for b in outer(n):
         for qs in itertools.product(inner, repeat=n):
-            yield FactorTuple(b, qs)
+            yield build(FactorTuple(b, qs))
 
 
-def enumerate_members(n: int, dedupe: bool = False) -> Iterator[AlgorithmSeq]:
-    """All members at size n, one per factor tuple.
-
-    The construction is injective, so ``dedupe`` never drops anything;
-    the flag exists to demonstrate that empirically.
-    """
-    if not 1 <= n <= MEMBER_ENUM_MAX:
-        raise ValueError(f"full enumeration supported for 1 <= n <= {MEMBER_ENUM_MAX}")
-    yield from _enumerate(n, bit_index=False, dedupe=dedupe)
+def enumerate_members(n: int) -> Iterator[AlgorithmSeq]:
+    """All members at size n, one per factor tuple."""
+    return _members(n, enumerate_gl, MEMBER_ENUM_MAX, "full enumeration")
 
 
-def enumerate_bit_index_members(n: int, dedupe: bool = False) -> Iterator[AlgorithmSeq]:
+def enumerate_bit_index_members(n: int) -> Iterator[AlgorithmSeq]:
     """Members whose stage matrices are all permutations of the index bits."""
-    if not 1 <= n <= BIT_INDEX_ENUM_MAX:
-        raise ValueError(f"bit-index enumeration supported for 1 <= n <= {BIT_INDEX_ENUM_MAX}")
-    yield from _enumerate(n, bit_index=True, dedupe=dedupe)
-
-
-def _enumerate(n: int, bit_index: bool, dedupe: bool) -> Iterator[AlgorithmSeq]:
-    seen: set[str] = set()
-    for f in _factor_tuples(n, bit_index):
-        P = build(f)
-        if dedupe:
-            k = P.key()
-            if k in seen:
-                continue
-            seen.add(k)
-        yield P
+    return _members(n, enumerate_perm, BIT_INDEX_ENUM_MAX, "bit-index enumeration")
 
 
 @dataclass(frozen=True)
@@ -170,26 +150,40 @@ class MemberSurvey:
     verified: int
 
 
-def survey_members(n: int, verify_oracle: bool = False) -> MemberSurvey:
-    """Enumerate every member at size n and verify each distinct one.
+def census(
+    members: Iterable[AlgorithmSeq],
+    n: int,
+    dedupe: bool = True,
+    verify: bool = True,
+    verify_oracle: bool = False,
+    emit: Callable[[AlgorithmSeq], None] = lambda P: None,
+) -> MemberSurvey:
+    """Count the members, drop repeated keys, verify and emit the rest.
 
-    Verification always runs the fast structural check; with
-    ``verify_oracle`` it also compares the computed matrix entrywise
-    against the transform.
+    Verification runs the fast structural check; with ``verify_oracle``
+    it also compares the computed matrix entrywise against the
+    transform.  Without ``dedupe`` every member counts as distinct.
     """
-    reference = hadamard(n) if verify_oracle else None
+    reference = hadamard(n) if verify and verify_oracle else None
     raw = 0
-    seen: set[str] = set()
     verified = 0
-    for f in _factor_tuples(n, bit_index=False):
-        P = build(f)
+    seen: set[str] = set()
+    for P in members:
         raw += 1
-        k = P.key()
-        if k in seen:
-            continue
-        seen.add(k)
-        ok = check_membership(P).passed
-        if ok and reference is not None:
-            ok = bool((evaluate(P) == reference).all())
-        verified += ok
-    return MemberSurvey(raw, len(seen), verified)
+        if dedupe:
+            k = P.key()
+            if k in seen:
+                continue
+            seen.add(k)
+        if verify:
+            ok = check_membership(P).passed
+            if ok and reference is not None:
+                ok = bool((evaluate(P) == reference).all())
+            verified += ok
+        emit(P)
+    return MemberSurvey(raw, len(seen) if dedupe else raw, verified)
+
+
+def survey_members(n: int, verify_oracle: bool = False) -> MemberSurvey:
+    """Enumerate every member at size n and verify each distinct one."""
+    return census(enumerate_members(n), n, verify_oracle=verify_oracle)

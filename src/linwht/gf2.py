@@ -26,8 +26,6 @@ __all__ = [
     "identity",
     "rotation_matrix",
     "reversal_matrix",
-    "int_to_bits",
-    "bits_to_int",
     "parity",
 ]
 
@@ -288,20 +286,3 @@ def reversal_matrix(n: int) -> BitMatrix:
         raise DimensionError("reversal needs n >= 1")
     return BitMatrix(n, n, tuple(1 << r for r in range(n)))
 
-
-def int_to_bits(i: int, n: int) -> tuple[int, ...]:
-    """Binary digits of i as a length-n tuple, most significant first."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if not 0 <= i < 1 << n:
-        raise ValueError(f"{i} does not fit in {n} bits")
-    return tuple((i >> (n - 1 - k)) & 1 for k in range(n))
-
-
-def bits_to_int(bits: Sequence[int]) -> int:
-    v = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"entry {b!r} is not a bit")
-        v = (v << 1) | b
-    return v

@@ -1,33 +1,29 @@
 """Enumeration, sampling and exact counting over GL_n(F2).
 
 Counts use plain Python ints throughout, so they stay exact at every
-size; only enumeration is bounded.
+size, and ``exact_str`` prints them in full; only enumeration is bounded.
 """
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
 import random
 import warnings
 from typing import Iterator
 
+from .config import GL_ENUM_MAX
 from .gf2 import BitMatrix
 
 __all__ = [
-    "GL_ENUM_MAX",
     "enumerate_gl",
     "enumerate_perm",
-    "random_invertible",
-    "sample_gl",
     "count_gl",
     "count_algorithms",
     "count_algorithms_simplified",
     "count_bit_index_algorithms",
-    "split_counts",
 ]
-
-GL_ENUM_MAX = 5
 
 
 def enumerate_gl(n: int) -> Iterator[BitMatrix]:
@@ -83,13 +79,6 @@ def random_invertible(n: int, rng: random.Random) -> BitMatrix:
             return m
 
 
-def sample_gl(n: int, rng_seed: int) -> BitMatrix:
-    """Seeded uniform sample from GL_n(F2)."""
-    if n < 1:
-        raise ValueError("sample_gl needs n >= 1")
-    return random_invertible(n, random.Random(rng_seed))
-
-
 def count_gl(n: int) -> int:
     """|GL_n(F2)| = prod_{i<n} (2^n - 2^i); the empty product 1 at n = 0."""
     if n < 0:
@@ -134,19 +123,11 @@ def count_bit_index_algorithms(n: int) -> int:
     return n * math.factorial(n - 1) ** (n + 1)
 
 
-def split_counts(total: int, parts: int) -> list[range]:
-    """Partition range(total) into contiguous near-equal ranges.
+def exact_str(x: int) -> str:
+    """Decimal digits of x, at any size.
 
-    Enumeration orders are deterministic, so these ranges let callers
-    shard a sweep across workers by index.
+    ``str(x)`` refuses ints above the interpreter's digit limit (4300
+    by default); ``Decimal(x)`` converts exactly without touching that
+    global setting.
     """
-    if parts < 1 or total < 0:
-        raise ValueError("need parts >= 1 and total >= 0")
-    base, extra = divmod(total, parts)
-    out = []
-    start = 0
-    for p in range(parts):
-        width = base + (1 if p < extra else 0)
-        out.append(range(start, start + width))
-        start += width
-    return out
+    return str(decimal.Decimal(x))

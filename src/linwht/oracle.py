@@ -17,21 +17,15 @@ import numpy as np
 
 from .algorithm import AlgorithmSeq
 from .config import SizeLimitError, active_limits
-from .gf2 import BitMatrix, DimensionError, SingularError
+from .gf2 import BitMatrix, SingularError
 
 __all__ = [
-    "SignedMatrix",
     "DependencySets",
     "hadamard",
-    "perm_indices",
-    "apply_linear_perm",
-    "apply_butterfly_array",
     "evaluate",
     "evaluate_partial",
     "dependency_sets",
 ]
-
-SignedMatrix = np.ndarray
 
 
 def _guard(n: int) -> None:
@@ -43,7 +37,7 @@ def _guard(n: int) -> None:
         )
 
 
-def hadamard(n: int) -> SignedMatrix:
+def hadamard(n: int) -> np.ndarray:
     """The 2^n x 2^n Walsh-Hadamard matrix in natural (binary) order."""
     _guard(n)
     idx = np.arange(1 << n)
@@ -67,29 +61,6 @@ def perm_indices(q: BitMatrix) -> np.ndarray:
     return idx
 
 
-def apply_linear_perm(q: BitMatrix, x) -> np.ndarray:
-    """Permute a length-2^n vector by i -> q*i: out[q*i] = x[i]."""
-    arr = np.asarray(x)
-    if q.rows != q.cols:
-        raise DimensionError("permutation matrix must be square")
-    if arr.shape[0] != 1 << q.rows:
-        raise DimensionError(f"vector length {arr.shape[0]} != 2^{q.rows}")
-    out = np.empty_like(arr)
-    out[perm_indices(q)] = arr
-    return out
-
-
-def apply_butterfly_array(x) -> np.ndarray:
-    """Sum/difference on each adjacent pair: (a, b) -> (a+b, a-b)."""
-    arr = np.asarray(x)
-    if arr.shape[0] % 2:
-        raise DimensionError("butterfly array needs an even-length input")
-    out = np.empty_like(arr)
-    out[0::2] = arr[0::2] + arr[1::2]
-    out[1::2] = arr[0::2] - arr[1::2]
-    return out
-
-
 def _run_stages(P: AlgorithmSeq, first: int, m: np.ndarray, final_perm: bool) -> np.ndarray:
     for k in range(P.n, first - 1, -1):
         out = np.empty_like(m)
@@ -104,14 +75,14 @@ def _run_stages(P: AlgorithmSeq, first: int, m: np.ndarray, final_perm: bool) ->
     return m
 
 
-def evaluate(P: AlgorithmSeq) -> SignedMatrix:
+def evaluate(P: AlgorithmSeq) -> np.ndarray:
     """The full signed matrix computed by the stage sequence."""
     _guard(P.n)
     m = np.eye(1 << P.n, dtype=np.int32)
     return _run_stages(P, 1, m, final_perm=True)
 
 
-def evaluate_partial(P: AlgorithmSeq, k: int) -> SignedMatrix:
+def evaluate_partial(P: AlgorithmSeq, k: int) -> np.ndarray:
     """The matrix of stages k..n only (butterfly first, P_0 excluded).
 
     k ranges over 1..n+1; k = n+1 gives the identity.
@@ -120,10 +91,7 @@ def evaluate_partial(P: AlgorithmSeq, k: int) -> SignedMatrix:
     _guard(n)
     if not 1 <= k <= n + 1:
         raise ValueError(f"stage index {k} outside 1..{n + 1}")
-    m = np.eye(1 << n, dtype=np.int32)
-    if k == n + 1:
-        return m
-    return _run_stages(P, k, m, final_perm=False)
+    return _run_stages(P, k, np.eye(1 << n, dtype=np.int32), final_perm=False)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass, field
 
 from .algorithm import AlgorithmSeq
+from .config import N_MAX
 from .factory import FactorTuple
 from .gf2 import BitMatrix
 
@@ -44,6 +45,10 @@ class ParseError(ValueError):
         super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
+
+
+def _is_digit(ch: str) -> bool:
+    return ch.isascii() and ch.isdigit()
 
 
 class _Scanner:
@@ -92,14 +97,6 @@ class _Scanner:
             raise self.fail(f"expected {ch!r}, found {shown}")
         self._advance()
 
-    def integer(self) -> int:
-        if not self.peek().isdigit():
-            raise self.fail("expected an integer")
-        digits = ""
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            digits += self._advance()
-        return int(digits)
-
     def matrix(self, rows: int, cols: int, label: str) -> BitMatrix:
         words = []
         for r in range(rows):
@@ -118,11 +115,19 @@ class _Scanner:
     def header(self) -> int:
         self.expect("n")
         self.expect("=")
-        n = self.integer()
-        if n < 1:
-            raise self.fail(f"n must be >= 1, got {n}")
+        if not _is_digit(self.peek()):
+            raise self.fail("expected an integer")
+        line, col = self.line, self.col
+        digits = ""
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
+            digits += self._advance()
+        digits = digits.lstrip("0") or "0"
+        # the digit count goes first: int() refuses very long digit strings
+        if len(digits) > len(str(N_MAX)) or not 1 <= int(digits) <= N_MAX:
+            shown = digits if len(digits) <= 8 else f"a {len(digits)}-digit number"
+            raise ParseError(f"n must be in 1..{N_MAX}, got {shown}", line, col)
         self.expect(";")
-        return n
+        return int(digits)
 
     def finish(self, expected: str) -> None:
         if self.peek() == ";":

@@ -117,6 +117,15 @@ def forced_singular_sequence(n: int, rng: random.Random) -> AlgorithmSeq:
     return AlgorithmSeq(tuple(mats))
 
 
+def perm_matrix(q: BitMatrix) -> np.ndarray:
+    """Dense 0/1 matrix of the index permutation i -> q*i, entry by entry."""
+    size = 1 << q.rows
+    m = np.zeros((size, size), dtype=np.int64)
+    for i in range(size):
+        m[q.apply(i), i] = 1
+    return m
+
+
 def bit_reverse(i: int, n: int) -> int:
     return int(format(i, f"0{n}b")[::-1], 2)
 

@@ -1,0 +1,88 @@
+"""The size contract 1 <= n <= N_MAX and the error types at the input boundary."""
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from linwht import AlgorithmSeq, FactorTuple, identity, pease, sample_member
+from linwht.config import N_MAX
+from linwht.gf2 import BitMatrix, DimensionError, SingularError
+from linwht.textio import ParseError, parse_document, parse_factors, parse_sequence
+
+HUGE_N = "n=" + "9" * 5000 + "; 1; 1"
+
+
+def test_algorithm_seq_rejects_n_above_contract():
+    with pytest.raises(DimensionError):
+        AlgorithmSeq((identity(N_MAX + 1),) * (N_MAX + 2))
+    with pytest.raises(DimensionError):
+        pease(80)
+    assert AlgorithmSeq((identity(N_MAX),) * (N_MAX + 1)).n == N_MAX
+
+
+def test_sample_member_rejects_n_above_contract():
+    with pytest.raises(DimensionError):
+        sample_member(N_MAX + 1)
+
+
+@pytest.mark.parametrize("parse", [parse_document, parse_factors])
+@pytest.mark.parametrize("header", [f"n={N_MAX + 1}", "n=0", "n=000", "n=100"])
+def test_header_rejects_n_outside_contract(parse, header):
+    with pytest.raises(ParseError) as e:
+        parse(f"# name: x\n{header}; 1; 1")
+    assert (e.value.line, e.value.column) == (2, 3)
+    assert f"1..{N_MAX}" in str(e.value)
+
+
+def test_header_checks_digit_count_before_int():
+    with pytest.raises(ParseError) as e:
+        parse_sequence(HUGE_N)
+    assert (e.value.line, e.value.column) == (1, 3)
+    assert "5000-digit" in str(e.value)
+    with pytest.raises(ParseError):
+        parse_factors(HUGE_N)
+
+
+def test_header_accepts_leading_zeros_and_ascii_digits_only():
+    assert parse_sequence("n=01; 1; 1").n == 1
+    with pytest.raises(ParseError):
+        parse_sequence("n=٢; 10/01; 01/10; 01/10")
+    with pytest.raises(ParseError):
+        parse_sequence("n=²; 10/01; 01/10; 01/10")
+
+
+def test_factor_tuple_singular_carries_rank():
+    with pytest.raises(SingularError) as e:
+        FactorTuple(BitMatrix.from_text("11/11"), (identity(1), identity(1)))
+    assert e.value.rank == 1
+    with pytest.raises(SingularError) as e:
+        FactorTuple(identity(3), (identity(2), BitMatrix.from_text("11/11"), identity(2)))
+    assert e.value.rank == 1
+    with pytest.raises(SingularError) as e:
+        parse_factors("n=1; 0")
+    assert e.value.rank == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.text(),
+        st.text(alphabet="n=0123456789;/ #:\n", max_size=80),
+        st.builds(
+            lambda n, body: f"n={n};{body}",
+            st.integers(0, 3 * N_MAX),
+            st.text(alphabet="01/; \n", max_size=60),
+        ),
+    ),
+    st.sampled_from([parse_document, parse_factors]),
+)
+@example("n=1; 0", parse_factors)
+@example("n=2; 11/11; 1; 1", parse_factors)
+@example("n=1; 0; 1", parse_document)
+@example(HUGE_N, parse_document)
+@example(HUGE_N, parse_factors)
+def test_parsers_raise_only_boundary_errors(text, parse):
+    try:
+        parse(text)
+    except (ParseError, DimensionError, SingularError):
+        pass

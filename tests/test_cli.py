@@ -1,10 +1,12 @@
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from linwht import pease
+from linwht import count_algorithms, count_algorithms_simplified, count_bit_index_algorithms, pease
 from linwht.cli import main
 from linwht.textio import format_sequence, parse_document, parse_factors, parse_sequence
 
@@ -83,6 +85,61 @@ def test_count_output(capsys):
     assert "members             16059338588160" in out
     assert "members-simplified  4014834647040" in out
     assert "bit-index           31104" in out
+
+
+def _assert_exact(text, x):
+    """``text`` spells x, checked without converting x to a string."""
+    k = len(text)
+    assert 10 ** (k - 1) <= x < 10 ** k
+    assert int(text[:40]) == x // 10 ** (k - 40)
+    assert int(text[-40:]) == x % 10**40
+
+
+@pytest.mark.parametrize("n", [30, 64])
+def test_count_exact_past_int_str_limit(capsys, n):
+    code, out, err = run_cli(capsys, "count", "-n", str(n))
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == f"n={n}"
+    fields = dict(line.split() for line in lines[1:])
+    _assert_exact(fields["members"], count_algorithms(n))
+    _assert_exact(fields["members-simplified"], count_algorithms_simplified(n))
+    _assert_exact(fields["bit-index"], count_bit_index_algorithms(n))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "-n", "0"),
+        ("count", "-n", "65"),
+        ("count", "-n", "3000"),
+        ("catalog", "pease", "-n", "65"),
+        ("sample", "-n", "65"),
+        ("enumerate", "-n", "65"),
+        ("bench", "--repeat", "0"),
+        ("bench", "--sizes", "4,65"),
+        ("bench", "--sizes", "0"),
+    ],
+)
+def test_bad_sizes_exit_2_before_any_output(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_count_table_script_past_int_str_limit():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "print_count_table.py"), "--max-n", "30"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = proc.stdout.splitlines()[-1].split()
+    assert last[0] == "30"
+    _assert_exact(last[2], count_algorithms(30))
 
 
 def test_enumerate_n2_table(capsys):

@@ -21,8 +21,9 @@ from linwht import (
     pease,
     sample_member,
 )
-from linwht.factory import MEMBER_ENUM_MAX, _bordered, _unbordered, survey_members
-from linwht.gf2 import BitMatrix, DimensionError
+from linwht.config import MEMBER_ENUM_MAX
+from linwht.factory import _bordered, _unbordered, survey_members
+from linwht.gf2 import BitMatrix, DimensionError, SingularError
 from linwht.groups import count_bit_index_algorithms, random_invertible
 from linwht.membership import spreading_matrix
 from linwht.textio import format_sequence, parse_document, parse_factors

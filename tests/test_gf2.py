@@ -10,9 +10,7 @@ from linwht.gf2 import (
     SingularError,
     _mul_words_int,
     _mul_words_vec,
-    bits_to_int,
     identity,
-    int_to_bits,
     parity,
     reversal_matrix,
     rotation_matrix,
@@ -191,11 +189,6 @@ def test_permutation_detection():
     assert reversal_matrix(4).is_permutation()
     assert not BitMatrix.from_text("11/01").is_permutation()
     assert not BitMatrix.from_text("11/11").is_permutation()
-
-
-@given(st.integers(0, 255))
-def test_bit_packing_round_trip(i):
-    assert bits_to_int(int_to_bits(i, 8)) == i
 
 
 def test_parity():

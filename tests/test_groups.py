@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -14,8 +13,6 @@ from linwht.groups import (
     enumerate_gl,
     enumerate_perm,
     random_invertible,
-    sample_gl,
-    split_counts,
 )
 
 from helpers import brute_gl
@@ -58,7 +55,6 @@ def test_random_invertible_deterministic():
     b = random_invertible(8, random.Random(123))
     assert a == b
     assert a.is_invertible()
-    assert sample_gl(8, 123) == a
 
 
 def test_random_invertible_degenerate():
@@ -100,11 +96,3 @@ def test_count_bit_index_values():
     assert [count_bit_index_algorithms(n) for n in range(1, 5)] == [1, 2, 48, 31104]
     for n in range(1, 8):
         assert count_bit_index_algorithms(n) == math.factorial(n) * math.factorial(n - 1) ** n
-
-
-def test_split_counts_partitions():
-    parts = split_counts(36288, 5)
-    assert parts[0].start == 0 and parts[-1].stop == 36288
-    assert sum(len(p) for p in parts) == 36288
-    flat = list(itertools.chain.from_iterable(parts))
-    assert flat == list(range(36288))

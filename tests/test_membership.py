@@ -74,6 +74,32 @@ def test_report_fields_on_member():
     assert r.witness is None
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_fast_check_agrees_with_oracle_at_n5_n6(n):
+    """Differential sweep: the structural check and the corner condition
+    against dense evaluation, on members, twisted members, random and
+    forced-singular sequences."""
+    rng = random.Random(500 + n)
+    h = hadamard(n)
+    kinds = {
+        "member": lambda: sample_member(n, rng.randrange(1 << 30)),
+        "twisted": lambda: twisted_member(n, rng),
+        "random": lambda: random_sequence(n, rng),
+        "singular": lambda: forced_singular_sequence(n, rng),
+    }
+    for kind, draw in kinds.items():
+        for _ in range(100):
+            P = draw()
+            r = check_membership(P)
+            w = evaluate(P)
+            assert r.passed == bool((w == h).all()), (kind, format_sequence(P))
+            border = bool((w[0] == 1).all() and (w[:, 0] == 1).all())
+            assert check_corner_condition(P) == r.cond_inverse == border, (kind, format_sequence(P))
+            assert r.passed == (kind == "member")
+            if kind == "singular":
+                assert not r.x_invertible
+
+
 def test_report_consistency_enforced():
     with pytest.raises(ValueError):
         CheckReport(True, True, True, False, None)

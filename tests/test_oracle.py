@@ -13,17 +13,17 @@ from linwht import (
     pease,
     reversed_inverted,
 )
-from linwht.gf2 import BitMatrix, DimensionError, parity, rotation_matrix
+from linwht.gf2 import BitMatrix, parity, rotation_matrix
 from linwht.groups import random_invertible
-from linwht.oracle import (
-    apply_butterfly_array,
-    apply_linear_perm,
-    dependency_sets,
-    evaluate_partial,
-    perm_indices,
-)
+from linwht.oracle import dependency_sets, evaluate_partial, perm_indices
 
-from helpers import WHT3, forced_singular_sequence, kron_hadamard, random_sequence
+from helpers import (
+    WHT3,
+    forced_singular_sequence,
+    kron_hadamard,
+    perm_matrix,
+    random_sequence,
+)
 
 
 def test_hadamard_matches_hand_table():
@@ -71,27 +71,7 @@ def test_perm_indices_rejects_singular():
 def test_linear_perm_composition(n, s1, s2):
     q = random_invertible(n, random.Random(s1))
     r = random_invertible(n, random.Random(s2))
-    x = np.arange(1 << n)
-    lhs = apply_linear_perm(q, apply_linear_perm(r, x))
-    rhs = apply_linear_perm(q @ r, x)
-    assert (lhs == rhs).all()
-
-
-def test_linear_perm_shape_errors():
-    with pytest.raises(DimensionError):
-        apply_linear_perm(BitMatrix.from_text("10/01"), np.arange(8))
-
-
-def test_butterfly_array():
-    out = apply_butterfly_array(np.array([3, 5, 2, 7]))
-    assert (out == np.array([8, -2, 9, -5])).all()
-    with pytest.raises(DimensionError):
-        apply_butterfly_array(np.arange(3))
-
-
-def test_butterfly_twice_is_doubling():
-    x = np.arange(8)
-    assert (apply_butterfly_array(apply_butterfly_array(x)) == 2 * x).all()
+    assert (perm_indices(q @ r) == perm_indices(q)[perm_indices(r)]).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -105,16 +85,14 @@ def test_single_stage_partial_product():
     got = evaluate_partial(P, 2)
     f2 = np.array([[1, 1], [1, -1]], dtype=np.int64)
     b = np.kron(np.eye(2, dtype=np.int64), f2)
-    shuffle = apply_linear_perm(rotation_matrix(2), np.eye(4, dtype=np.int64))
-    assert (got == b @ shuffle).all()
+    assert (got == b @ perm_matrix(rotation_matrix(2))).all()
 
 
 def test_partial_product_chain():
     rng = random.Random(7)
     P = random_sequence(3, rng)
     full = evaluate_partial(P, 1)
-    perm0 = apply_linear_perm(P[0], np.eye(8, dtype=np.int64))
-    assert (evaluate(P) == perm0 @ full).all()
+    assert (evaluate(P) == perm_matrix(P[0]) @ full).all()
     assert (evaluate_partial(P, 4) == np.eye(8)).all()
 
 

@@ -1,0 +1,69 @@
+"""The public surface: one declaration per name, nothing dead left over."""
+
+import importlib
+import inspect
+import pkgutil
+
+import linwht
+from linwht import config, factory, gf2, groups, oracle
+
+# The package's exported names; changing the surface means changing this set.
+PUBLIC = frozenset(
+    {
+        "AlgorithmDocument", "AlgorithmSeq", "BitMatrix", "CATALOG", "CheckReport",
+        "ConditionError", "DependencySets", "DimensionError", "FactorTuple", "Limits",
+        "MemberSurvey", "NotMemberError", "ParseError", "SingularError", "SizeLimitError",
+        "__version__", "active_limits", "build", "check_corner_condition",
+        "check_membership", "count_algorithms", "count_algorithms_simplified",
+        "count_bit_index_algorithms", "count_gl", "dependency_sets",
+        "enumerate_bit_index_members", "enumerate_gl", "enumerate_members",
+        "enumerate_perm", "evaluate", "evaluate_partial", "export_dot", "factorize",
+        "find_counterexample", "format_document", "format_factors", "format_sequence",
+        "hadamard", "identity", "is_member", "iterative_ct", "parity", "parse_document",
+        "parse_factors", "parse_sequence", "pease", "pease_transpose", "predict_plus_set",
+        "reversal_matrix", "reversed_inverted", "rotation_matrix", "sample_member",
+        "seq_product", "spreading_matrix", "survey_members", "to_sequency",
+    }
+)
+
+
+def _submodules():
+    return [
+        importlib.import_module(f"linwht.{info.name}")
+        for info in pkgutil.iter_modules(linwht.__path__)
+    ]
+
+
+def test_every_public_name_resolves_once():
+    names = linwht.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == PUBLIC
+    modules = _submodules()
+    for name in names:
+        assert hasattr(linwht, name), name
+        if name == "__version__":
+            continue
+        owners = [m for m in modules if name in m.__all__]
+        assert len(owners) == 1, (name, [m.__name__ for m in owners])
+        assert getattr(linwht, name) is getattr(owners[0], name)
+
+
+def test_removed_helpers_are_gone():
+    removed = {
+        groups: ("split_counts", "sample_gl"),
+        gf2: ("int_to_bits", "bits_to_int"),
+        oracle: ("apply_linear_perm", "apply_butterfly_array", "SignedMatrix"),
+    }
+    for module, names in removed.items():
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+    assert "n_max" not in {f.name for f in config.Limits.__dataclass_fields__.values()}
+    for fn in (factory.enumerate_members, factory.enumerate_bit_index_members):
+        assert list(inspect.signature(fn).parameters) == ["n"]
+
+
+def test_size_bounds_live_in_config():
+    assert (config.N_MAX, config.MEMBER_ENUM_MAX, config.BIT_INDEX_ENUM_MAX, config.GL_ENUM_MAX) == (
+        64, 3, 4, 5
+    )
+    assert set(config.__all__) == {"Limits", "SizeLimitError", "active_limits"}
