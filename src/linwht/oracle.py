@@ -1,12 +1,21 @@
 """Dense exact evaluation: the ground truth the fast checks answer to.
 
-``evaluate`` materialises the full 2^n x 2^n signed integer matrix of a
-stage sequence by pushing basis columns through the stages one at a
-time; no matrix-matrix products and no floating point are involved.
-``hadamard`` builds the transform itself straight from its definition,
-entry (i, j) = (-1)^{<i_bits, j_bits>}.  Entries are int32: stage k of
-an evaluation is bounded by 2^k in magnitude, and the size guard keeps
-2^n well below the int32 range.
+One executor runs a stage sequence on data.  Stage k moves row i to row
+P_k i and then adds and subtracts the row pairs (2j, 2j+1); ``_run``
+does both in one pass, as a gather through the inverse of the index
+table followed by the butterfly.  The gather tables are built once per
+call.  The trailing axes of the data are flattened into columns, and
+all stages run on one column panel of about ``_PANEL_BYTES`` before
+the next panel starts, so a panel's stages stay in the L2 cache however
+large the whole matrix is.
+
+``transform`` runs an algorithm on any array of 2^n rows, in its dtype.
+``evaluate`` runs it on the identity and so materialises the full
+2^n x 2^n signed integer matrix; no matrix-matrix products and no
+floating point are involved.  ``hadamard`` builds the transform itself
+straight from its definition, entry (i, j) = (-1)^popcount(i & j).
+Entries are int32: stage k of an evaluation is bounded by 2^k in
+magnitude, and the size guard keeps 2^n well below the int32 range.
 """
 
 from __future__ import annotations
@@ -17,15 +26,20 @@ import numpy as np
 
 from .algorithm import AlgorithmSeq
 from .config import SizeLimitError, active_limits
-from .gf2 import BitMatrix, SingularError
+from .gf2 import BitMatrix, DimensionError, SingularError
 
 __all__ = [
     "DependencySets",
     "hadamard",
+    "transform",
     "evaluate",
     "evaluate_partial",
     "dependency_sets",
 ]
+
+# Working data of one column panel; a panel's gather buffer and stage
+# output together take twice this, which fits a 1-2 MiB L2 cache.
+_PANEL_BYTES = 512 * 1024
 
 
 def _guard(n: int) -> None:
@@ -40,46 +54,103 @@ def _guard(n: int) -> None:
 def hadamard(n: int) -> np.ndarray:
     """The 2^n x 2^n Walsh-Hadamard matrix in natural (binary) order."""
     _guard(n)
-    idx = np.arange(1 << n)
+    idx = np.arange(1 << n, dtype=np.uint16 if n <= 16 else np.uint32)
     x = np.bitwise_and.outer(idx, idx)
-    # parity fold; entries are below 2^14 under the default guard
-    for s in (16, 8, 4, 2, 1):
-        x ^= x >> s
-    return (1 - 2 * (x & 1)).astype(np.int32)
+    # fold the parity of each entry into its lowest bit, in place
+    tmp = np.empty_like(x)
+    shift = 4 * x.itemsize
+    while shift:
+        np.right_shift(x, shift, out=tmp)
+        x ^= tmp
+        shift >>= 1
+    del tmp  # freed before the int32 result is allocated
+    np.bitwise_and(x, 1, out=x)
+    h = x.astype(np.int32)
+    h *= -2
+    h += 1
+    return h
 
 
 def perm_indices(q: BitMatrix) -> np.ndarray:
     """Destination table of the index permutation i -> q*i."""
     if not q.is_invertible():
         raise SingularError(f"permutation matrix is singular (rank {q.rank()})", q.rank())
-    n = q.rows
-    size = 1 << n
+    size = 1 << q.rows
     idx = np.zeros(size, dtype=np.intp)
-    for k in range(n):
-        col = q.apply(1 << (n - 1 - k))
-        idx ^= ((np.arange(size) >> (n - 1 - k)) & 1) * col
+    h = 1
+    while h < size:
+        # q*(h + i) = q*h ^ q*i for i < h
+        idx[h : 2 * h] = idx[:h] ^ q.apply(h)
+        h <<= 1
     return idx
 
 
-def _run_stages(P: AlgorithmSeq, first: int, m: np.ndarray, final_perm: bool) -> np.ndarray:
-    for k in range(P.n, first - 1, -1):
-        out = np.empty_like(m)
-        out[perm_indices(P[k])] = m
-        m = np.empty_like(out)
-        m[0::2] = out[0::2] + out[1::2]
-        m[1::2] = out[0::2] - out[1::2]
-    if final_perm:
-        out = np.empty_like(m)
-        out[perm_indices(P[0])] = m
-        m = out
-    return m
+def _run(P: AlgorithmSeq, first: int, x: np.ndarray, final_perm: bool) -> np.ndarray:
+    """Stages n..first of P, then P_0 if ``final_perm``, on the rows of x.
+
+    Between stages the rows are held in split order: the sum of pair j
+    at row j and the difference at row 2^(n-1) + j, so that both halves
+    of a butterfly are contiguous.  Each gather table reads the previous
+    stage's rows in that order, and the last scatter undoes it.
+    """
+    n = P.n
+    size = 1 << n
+    half = size >> 1
+    natural = np.arange(size)
+    split_row = (natural >> 1) | ((natural & 1) << (n - 1))
+    split_order = np.concatenate((natural[0::2], natural[1::2]))
+    held_at = natural  # row where each natural-order row of the input is held
+    tables = []
+    for k in range(n, first - 1, -1):
+        gather = np.empty_like(natural)
+        gather[perm_indices(P[k])] = held_at
+        tables.append(gather[split_order])
+        held_at = split_row
+    dest = np.empty_like(natural)
+    dest[held_at] = perm_indices(P[0]) if final_perm else natural
+
+    cols = x.reshape(size, x.size // size)
+    ncols = cols.shape[1]
+    out = np.empty_like(cols)
+    width = max(1, min(ncols, _PANEL_BYTES // (size * cols.itemsize)))
+    gathered = np.empty(size * width, dtype=cols.dtype)
+    staged = np.empty(size * width, dtype=cols.dtype)
+    for c0 in range(0, ncols, width):
+        w = min(width, ncols - c0)
+        m = cols[:, c0 : c0 + w]
+        g = gathered[: size * w].reshape(size, w)
+        s = staged[: size * w].reshape(size, w)
+        for table in tables:
+            # indices are in range; "clip" lets take write straight into g
+            np.take(m, table, axis=0, out=g, mode="clip")
+            np.add(g[:half], g[half:], out=s[:half])
+            np.subtract(g[:half], g[half:], out=s[half:])
+            m = s
+        out[dest, c0 : c0 + w] = m
+    return out.reshape(x.shape)
+
+
+def transform(P: AlgorithmSeq, x) -> np.ndarray:
+    """The algorithm applied along the first axis of ``x``, shape (2^n, ...).
+
+    Equals ``evaluate(P)`` times x, computed in ``x.dtype`` without
+    forming the matrix; integer dtypes wrap on overflow.  Besides the
+    output it holds about n+4 index tables of 2^n entries and two panel
+    buffers, so only the shape is checked, not the size guard.
+    """
+    x = np.asarray(x)
+    size = 1 << P.n
+    if x.ndim == 0 or x.shape[0] != size:
+        raise DimensionError(
+            f"a 2^{P.n}-point algorithm needs x of shape ({size}, ...), got {x.shape}"
+        )
+    return _run(P, 1, x, final_perm=True)
 
 
 def evaluate(P: AlgorithmSeq) -> np.ndarray:
     """The full signed matrix computed by the stage sequence."""
     _guard(P.n)
-    m = np.eye(1 << P.n, dtype=np.int32)
-    return _run_stages(P, 1, m, final_perm=True)
+    return _run(P, 1, np.eye(1 << P.n, dtype=np.int32), final_perm=True)
 
 
 def evaluate_partial(P: AlgorithmSeq, k: int) -> np.ndarray:
@@ -91,7 +162,7 @@ def evaluate_partial(P: AlgorithmSeq, k: int) -> np.ndarray:
     _guard(n)
     if not 1 <= k <= n + 1:
         raise ValueError(f"stage index {k} outside 1..{n + 1}")
-    return _run_stages(P, k, np.eye(1 << n, dtype=np.int32), final_perm=False)
+    return _run(P, k, np.eye(1 << n, dtype=np.int32), final_perm=False)
 
 
 @dataclass(frozen=True)
@@ -109,15 +180,17 @@ def dependency_sets(P: AlgorithmSeq, k: int, i: int) -> DependencySets:
     k = 0 reads the full algorithm including the output permutation;
     1 <= k <= n+1 reads the partial evaluation.  ``support`` collects
     all nonzero rows; ``plus``/``minus`` the entries equal to +1/-1.
+    Only column i is computed, by running the stages on e_i.
     """
     n = P.n
     if not 0 <= i < 1 << n:
         raise ValueError(f"input index {i} outside 0..{(1 << n) - 1}")
-    if k == 0:
-        w = evaluate(P)
-    else:
-        w = evaluate_partial(P, k)
-    col = w[:, i]
+    _guard(n)
+    if not 0 <= k <= n + 1:
+        raise ValueError(f"stage index {k} outside 0..{n + 1}")
+    e = np.zeros(1 << n, dtype=np.int32)
+    e[i] = 1
+    col = _run(P, max(k, 1), e, final_perm=k == 0)
     return DependencySets(
         support=frozenset(np.flatnonzero(col).tolist()),
         plus=frozenset(np.flatnonzero(col == 1).tolist()),

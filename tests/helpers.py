@@ -126,6 +126,22 @@ def perm_matrix(q: BitMatrix) -> np.ndarray:
     return m
 
 
+def naive_evaluate(P: AlgorithmSeq, first: int = 1, final_perm: bool = True) -> np.ndarray:
+    """Dense product of the stage matrices, one matrix per step.
+
+    Stage k is (I_{2^(n-1)} (x) F_2) times the permutation matrix of P_k;
+    stages n..first are multiplied in order, then P_0 if ``final_perm``.
+    """
+    size = 1 << P.n
+    butterfly = np.kron(np.eye(size // 2, dtype=np.int64), np.array([[1, 1], [1, -1]], dtype=np.int64))
+    m = np.eye(size, dtype=np.int64)
+    for k in range(P.n, first - 1, -1):
+        m = butterfly @ perm_matrix(P[k]) @ m
+    if final_perm:
+        m = perm_matrix(P[0]) @ m
+    return m
+
+
 def bit_reverse(i: int, n: int) -> int:
     return int(format(i, f"0{n}b")[::-1], 2)
 

@@ -7,20 +7,24 @@ from hypothesis import strategies as st
 
 from linwht import (
     AlgorithmSeq,
+    DimensionError,
     SizeLimitError,
     evaluate,
     hadamard,
     pease,
     reversed_inverted,
+    sample_member,
+    transform,
 )
 from linwht.gf2 import BitMatrix, parity, rotation_matrix
 from linwht.groups import random_invertible
-from linwht.oracle import dependency_sets, evaluate_partial, perm_indices
+from linwht.oracle import _PANEL_BYTES, dependency_sets, evaluate_partial, perm_indices
 
 from helpers import (
     WHT3,
     forced_singular_sequence,
     kron_hadamard,
+    naive_evaluate,
     perm_matrix,
     random_sequence,
 )
@@ -52,13 +56,12 @@ def test_hadamard_equals_kron_product(n):
     assert (hadamard(n) == kron_hadamard(n)).all()
 
 
-def test_perm_indices_matches_apply():
-    rng = random.Random(1)
-    q = random_invertible(4, rng)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**30))
+def test_perm_indices_matches_apply(n, seed):
+    q = random_invertible(n, random.Random(seed))
     idx = perm_indices(q)
-    assert sorted(idx) == list(range(16))
-    for i in range(16):
-        assert idx[i] == q.apply(i)
+    assert idx.tolist() == [q.apply(i) for i in range(1 << n)]
 
 
 def test_perm_indices_rejects_singular():
@@ -123,15 +126,25 @@ def test_dependency_sets_read_off_columns():
 
 def test_dependency_sets_match_partial_matrix():
     rng = random.Random(3)
-    P = random_sequence(3, rng)
-    for k in range(1, 5):
-        m = evaluate_partial(P, k)
-        for i in range(8):
-            d = dependency_sets(P, k, i)
-            col = m[:, i]
-            assert d.support == frozenset(np.flatnonzero(col != 0).tolist())
-            assert d.plus == frozenset(np.flatnonzero(col > 0).tolist())
-            assert d.minus == frozenset(np.flatnonzero(col < 0).tolist())
+    for n in (3, 5):
+        P = random_sequence(n, rng)
+        for k in range(0, n + 2):
+            m = evaluate(P) if k == 0 else evaluate_partial(P, k)
+            for i in range(1 << n):
+                d = dependency_sets(P, k, i)
+                col = m[:, i]
+                assert d.support == frozenset(np.flatnonzero(col != 0).tolist())
+                assert d.plus == frozenset(np.flatnonzero(col == 1).tolist())
+                assert d.minus == frozenset(np.flatnonzero(col == -1).tolist())
+
+
+def test_dependency_sets_bounds():
+    P = pease(2)
+    for k, i in ((0, 4), (0, -1), (-1, 0), (4, 0)):
+        with pytest.raises(ValueError):
+            dependency_sets(P, k, i)
+    with pytest.raises(SizeLimitError):
+        dependency_sets(pease(15), 1, 0)
 
 
 def test_dependency_sets_full_product():
@@ -174,3 +187,64 @@ def test_size_guard_env_override(monkeypatch):
     monkeypatch.setenv("WHT_MAX_N", "bogus")
     with pytest.raises(ValueError):
         hadamard(2)
+
+
+_KINDS = ("member", "random", "singular")
+
+
+def _sequence(kind: str, n: int, seed: int) -> AlgorithmSeq:
+    rng = random.Random(f"{kind}/{n}/{seed}")
+    if kind == "member":
+        return sample_member(n, rng.randrange(1 << 30))
+    if kind == "random":
+        return random_sequence(n, rng)
+    return forced_singular_sequence(n, rng)
+
+
+def _integer_valued(shape, dtype, rng: np.random.Generator) -> np.ndarray:
+    """Small integers in ``dtype``, so every sum the stages form is exact."""
+    x = rng.integers(-8, 9, size=shape).astype(dtype)
+    if np.issubdtype(dtype, np.complexfloating):
+        x += 1j * rng.integers(-8, 9, size=shape)
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_evaluations_match_naive_product(n, kind):
+    for seed in range(3):
+        P = _sequence(kind, n, seed)
+        assert (evaluate(P) == naive_evaluate(P)).all()
+        for k in range(1, n + 2):
+            assert (evaluate_partial(P, k) == naive_evaluate(P, k, final_perm=False)).all()
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
+@pytest.mark.parametrize("trailing", [(), (3,), (2, 5)])
+def test_transform_matches_naive_product(dtype, trailing):
+    rng = np.random.default_rng(len(trailing))
+    for n in range(1, 7):
+        for kind in _KINDS:
+            P = _sequence(kind, n, 0)
+            x = _integer_valued((1 << n,) + trailing, dtype, rng)
+            got = transform(P, x)
+            want = (naive_evaluate(P) @ x.reshape(1 << n, -1)).reshape(x.shape)
+            assert got.dtype == x.dtype and got.shape == x.shape
+            assert (got == want).all()
+
+
+def test_transform_spans_panels_with_remainder():
+    n = 4
+    P = _sequence("member", n, 1)
+    width = _PANEL_BYTES // ((1 << n) * np.dtype(np.float64).itemsize)
+    x = _integer_valued((1 << n, 2 * width + 3), np.float64, np.random.default_rng(5))
+    assert (transform(P, x) == naive_evaluate(P) @ x).all()
+    # a non-contiguous input takes the same path
+    assert (transform(P, x[:, ::2]) == naive_evaluate(P) @ x[:, ::2]).all()
+
+
+def test_transform_rejects_wrong_first_axis():
+    P = pease(3)
+    for shape in ((), (7,), (9, 2), (2, 8)):
+        with pytest.raises(DimensionError):
+            transform(P, np.zeros(shape))

@@ -22,7 +22,7 @@ PUBLIC = frozenset(
         "hadamard", "identity", "is_member", "iterative_ct", "parity", "parse_document",
         "parse_factors", "parse_sequence", "pease", "pease_transpose", "predict_plus_set",
         "reversal_matrix", "reversed_inverted", "rotation_matrix", "sample_member",
-        "seq_product", "spreading_matrix", "survey_members", "to_sequency",
+        "seq_product", "spreading_matrix", "survey_members", "to_sequency", "transform",
     }
 )
 
