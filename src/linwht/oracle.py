@@ -12,10 +12,15 @@ large the whole matrix is.
 ``transform`` runs an algorithm on any array of 2^n rows, in its dtype.
 ``evaluate`` runs it on the identity and so materialises the full
 2^n x 2^n signed integer matrix; no matrix-matrix products and no
-floating point are involved.  ``hadamard`` builds the transform itself
-straight from its definition, entry (i, j) = (-1)^popcount(i & j).
-Entries are int32: stage k of an evaluation is bounded by 2^k in
-magnitude, and the size guard keeps 2^n well below the int32 range.
+floating point are involved.  The identity itself is never formed:
+each panel of it is written into the panel's staging buffer, zeros and
+then its ones, before the stages run.  A butterfly at most doubles the
+largest magnitude in a column, so no entry of an evaluation exceeds
+2^n, and the stages of an identity run in the smallest signed integer
+type that holds 2^n (int16 up to n = 14, the default size guard); the
+result is cast into int32 by the final row scatter.  ``hadamard``
+builds the transform itself straight from its definition, entry
+(i, j) = (-1)^popcount(i & j).
 """
 
 from __future__ import annotations
@@ -73,8 +78,9 @@ def hadamard(n: int) -> np.ndarray:
 
 def perm_indices(q: BitMatrix) -> np.ndarray:
     """Destination table of the index permutation i -> q*i."""
-    if not q.is_invertible():
-        raise SingularError(f"permutation matrix is singular (rank {q.rank()})", q.rank())
+    if q.rows != q.cols:
+        rank = q.rank()
+        raise SingularError(f"permutation matrix is {q.rows}x{q.cols}, not square (rank {rank})", rank)
     size = 1 << q.rows
     idx = np.zeros(size, dtype=np.intp)
     h = 1
@@ -82,11 +88,29 @@ def perm_indices(q: BitMatrix) -> np.ndarray:
         # q*(h + i) = q*h ^ q*i for i < h
         idx[h : 2 * h] = idx[:h] ^ q.apply(h)
         h <<= 1
+    # a linear map is a bijection exactly when only 0 maps to 0
+    if not idx[1:].all():
+        rank = q.rank()
+        raise SingularError(f"permutation matrix is singular (rank {rank})", rank)
     return idx
 
 
-def _run(P: AlgorithmSeq, first: int, x: np.ndarray, final_perm: bool) -> np.ndarray:
+# the signed types an evaluation may run in, with their largest values
+_WORKING_TYPES = tuple((np.dtype(t), int(np.iinfo(t).max)) for t in (np.int16, np.int32, np.int64))
+
+
+def _working_dtype(n: int) -> np.dtype:
+    """The smallest signed integer type that holds every entry of a
+    2^n-point evaluation, whose magnitudes are at most 2^n."""
+    return next(t for t, top in _WORKING_TYPES if top >= 1 << n)
+
+
+def _run(P: AlgorithmSeq, first: int, x: np.ndarray | None, final_perm: bool) -> np.ndarray:
     """Stages n..first of P, then P_0 if ``final_perm``, on the rows of x.
+
+    ``x=None`` stands for the 2^n x 2^n identity: each panel of it is
+    written into the staging buffer, the stages run in
+    ``_working_dtype(n)`` and the result is int32.
 
     Between stages the rows are held in split order: the sum of pair j
     at row j and the difference at row 2^(n-1) + j, so that both halves
@@ -109,17 +133,28 @@ def _run(P: AlgorithmSeq, first: int, x: np.ndarray, final_perm: bool) -> np.nda
     dest = np.empty_like(natural)
     dest[held_at] = perm_indices(P[0]) if final_perm else natural
 
-    cols = x.reshape(size, x.size // size)
-    ncols = cols.shape[1]
-    out = np.empty_like(cols)
-    width = max(1, min(ncols, _PANEL_BYTES // (size * cols.itemsize)))
-    gathered = np.empty(size * width, dtype=cols.dtype)
-    staged = np.empty(size * width, dtype=cols.dtype)
+    if x is None:
+        dtype = _working_dtype(n)
+        ncols = size
+        out = np.empty((size, size), dtype=np.int32)
+    else:
+        cols = x.reshape(size, x.size // size)
+        dtype = cols.dtype
+        ncols = cols.shape[1]
+        out = np.empty_like(cols)
+    width = max(1, min(ncols, _PANEL_BYTES // (size * dtype.itemsize)))
+    gathered = np.empty(size * width, dtype=dtype)
+    staged = np.empty(size * width, dtype=dtype)
     for c0 in range(0, ncols, width):
         w = min(width, ncols - c0)
-        m = cols[:, c0 : c0 + w]
         g = gathered[: size * w].reshape(size, w)
         s = staged[: size * w].reshape(size, w)
+        if x is None:
+            s.fill(0)
+            s[natural[c0 : c0 + w], natural[:w]] = 1
+            m = s
+        else:
+            m = cols[:, c0 : c0 + w]
         for table in tables:
             # indices are in range; "clip" lets take write straight into g
             np.take(m, table, axis=0, out=g, mode="clip")
@@ -127,7 +162,7 @@ def _run(P: AlgorithmSeq, first: int, x: np.ndarray, final_perm: bool) -> np.nda
             np.subtract(g[:half], g[half:], out=s[half:])
             m = s
         out[dest, c0 : c0 + w] = m
-    return out.reshape(x.shape)
+    return out if x is None else out.reshape(x.shape)
 
 
 def transform(P: AlgorithmSeq, x) -> np.ndarray:
@@ -150,7 +185,7 @@ def transform(P: AlgorithmSeq, x) -> np.ndarray:
 def evaluate(P: AlgorithmSeq) -> np.ndarray:
     """The full signed matrix computed by the stage sequence."""
     _guard(P.n)
-    return _run(P, 1, np.eye(1 << P.n, dtype=np.int32), final_perm=True)
+    return _run(P, 1, None, final_perm=True)
 
 
 def evaluate_partial(P: AlgorithmSeq, k: int) -> np.ndarray:
@@ -162,7 +197,7 @@ def evaluate_partial(P: AlgorithmSeq, k: int) -> np.ndarray:
     _guard(n)
     if not 1 <= k <= n + 1:
         raise ValueError(f"stage index {k} outside 1..{n + 1}")
-    return _run(P, k, np.eye(1 << n, dtype=np.int32), final_perm=False)
+    return _run(P, k, None, final_perm=False)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,20 +12,29 @@ from linwht import (
     SizeLimitError,
     evaluate,
     hadamard,
+    iterative_ct,
     pease,
     reversed_inverted,
     sample_member,
     transform,
 )
-from linwht.gf2 import BitMatrix, parity, rotation_matrix
+from linwht.gf2 import BitMatrix, SingularError, parity, rotation_matrix
 from linwht.groups import random_invertible
-from linwht.oracle import _PANEL_BYTES, dependency_sets, evaluate_partial, perm_indices
+from linwht.oracle import (
+    _PANEL_BYTES,
+    _run,
+    _working_dtype,
+    dependency_sets,
+    evaluate_partial,
+    perm_indices,
+)
 
 from helpers import (
     WHT3,
     forced_singular_sequence,
     kron_hadamard,
     naive_evaluate,
+    naive_rank,
     perm_matrix,
     random_sequence,
 )
@@ -67,6 +77,25 @@ def test_perm_indices_matches_apply(n, seed):
 def test_perm_indices_rejects_singular():
     with pytest.raises(ValueError):
         perm_indices(BitMatrix.from_text("11/11"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
+def test_perm_indices_singular_exactly_below_full_rank(words):
+    n = len(words)
+    rank = naive_rank([[(w >> (n - 1 - c)) & 1 for c in range(n)] for w in words])
+    q = BitMatrix(n, n, tuple(words))
+    if rank == n:
+        assert perm_indices(q).tolist() == [q.apply(i) for i in range(1 << n)]
+    else:
+        with pytest.raises(SingularError) as err:
+            perm_indices(q)
+        assert err.value.rank == rank
+
+
+def test_perm_indices_rejects_non_square():
+    with pytest.raises(SingularError):
+        perm_indices(BitMatrix.from_text("10/01/11"))
 
 
 @settings(max_examples=30)
@@ -248,3 +277,45 @@ def test_transform_rejects_wrong_first_axis():
     for shape in ((), (7,), (9, 2), (2, 8)):
         with pytest.raises(DimensionError):
             transform(P, np.zeros(shape))
+
+
+def _panel_sequences(n: int) -> list[AlgorithmSeq]:
+    rng = random.Random(n)
+    return [
+        pease(n),
+        iterative_ct(n),
+        sample_member(n, rng.randrange(1 << 30)),
+        random_sequence(n, rng),
+        random_sequence(n, rng),
+    ]
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_identity_panels_match_int64_array_path(n):
+    """The identity fits one panel at n=9 and takes four at n=10."""
+    eye = np.eye(1 << n, dtype=np.int64)
+    for P in _panel_sequences(n):
+        pairs = [(evaluate(P), transform(P, eye))]
+        pairs += [(evaluate_partial(P, k), _run(P, k, eye, final_perm=False)) for k in (1, 2, n, n + 1)]
+        for got, want in pairs:
+            assert got.dtype == np.int32 and got.flags.c_contiguous
+            assert want.dtype == np.int64
+            assert (got == want).all()
+
+
+def test_working_dtype_holds_every_entry():
+    for n in range(1, 31):
+        dtype = _working_dtype(n)
+        assert np.iinfo(dtype).max >= 1 << n
+        assert dtype == (np.int16 if n <= 14 else np.int32)
+
+
+def test_evaluate_never_forms_the_identity():
+    P = pease(10)
+    tracemalloc.start()
+    try:
+        w = evaluate(P)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= w.nbytes + 2 * 2**20
