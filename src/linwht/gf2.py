@@ -8,6 +8,19 @@ integers they encode: the packed form of the binary digits of ``i``
 (most significant bit on top) is ``i`` itself, and the vector
 ``(0, ..., 0, 1)`` is the integer ``1``.
 
+Elimination (``rank``, ``inverse``) works on all rows at once.  The
+rows are packed into one int, row i in the slot of bits
+[i*w, (i+1)*w), and each pivot step is a few whole-int operations:
+``sel = (big >> b) & live`` takes column b of every live row into the
+low bit of its slot, the highest selected slot becomes the pivot (one
+``bit_length``; any selected slot would do), and
+``big ^= (sel ^ pivot) * pivot_row`` clears column b from every other
+selected row.  The slots do not overlap, so the product has no carries,
+and a pivot step costs a handful of big-int operations instead of a
+Python loop over the rows.  ``inverse`` runs the same step on 2n-bit
+slots holding the row and the matching identity row side by side, and
+clears each column from every row, pivot rows included (Gauss-Jordan).
+
 Everything here is immutable and every operation returns a new value,
 so instances can be shared freely across threads.
 """
@@ -74,13 +87,26 @@ def _mul_words_vec(a_words: Sequence[int], b_words: Sequence[int], inner: int) -
     shifts = np.arange(inner - 1, -1, -1, dtype=np.uint64)
     picks = ((a[:, None] >> shifts[None, :]) & np.uint64(1)).astype(bool)
     terms = np.where(picks, b[None, :], np.uint64(0))
-    return tuple(int(v) for v in np.bitwise_xor.reduce(terms, axis=1))
+    return tuple(np.bitwise_xor.reduce(terms, axis=1).tolist())
 
 
 def _mul_words(a_words: Sequence[int], b_words: Sequence[int], inner: int) -> tuple[int, ...]:
     if inner >= _VECTOR_MIN_DIM and inner <= 64 and len(a_words) >= _VECTOR_MIN_DIM:
         return _mul_words_vec(a_words, b_words, inner)
     return _mul_words_int(a_words, b_words, inner)
+
+
+def _pack(words: Sequence[int], width: int) -> int:
+    """All rows in one int: row i in bits [i*width, (i+1)*width)."""
+    big = 0
+    for w in reversed(words):
+        big = (big << width) | w
+    return big
+
+
+def _slot_ones(slots: int, width: int) -> int:
+    """Bit 0 of each of ``slots`` slots of ``width`` bits (a base-2^width repunit)."""
+    return ((1 << (slots * width)) - 1) // ((1 << width) - 1)
 
 
 @dataclass(frozen=True)
@@ -192,11 +218,6 @@ class BitMatrix:
             )
         return BitMatrix(self.rows, other.cols, _mul_words(self.words, other.words, self.cols))
 
-    def __add__(self, other: "BitMatrix") -> "BitMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionError("shape mismatch in addition")
-        return BitMatrix(self.rows, self.cols, tuple(a ^ b for a, b in zip(self.words, other.words)))
-
     def transpose(self) -> "BitMatrix":
         words = [0] * self.cols
         for r, w in enumerate(self.words):
@@ -227,20 +248,23 @@ class BitMatrix:
         return acc
 
     def rank(self) -> int:
-        work = list(self.words)
+        if not self.rows or not self.cols:
+            return 0
+        w = self.cols
+        big = _pack(self.words, w)
+        live = _slot_ones(self.rows, w)
+        mask = (1 << w) - 1
         r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            pos = self.cols - 1 - c
-            piv = next((i for i in range(r, self.rows) if (work[i] >> pos) & 1), -1)
-            if piv < 0:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            for i in range(r + 1, self.rows):
-                if (work[i] >> pos) & 1:
-                    work[i] ^= work[r]
-            r += 1
+        for b in range(w - 1, -1, -1):
+            sel = (big >> b) & live
+            if sel:
+                at = sel.bit_length() - 1
+                pivot = 1 << at
+                big ^= (sel ^ pivot) * ((big >> at) & mask)
+                live ^= pivot
+                r += 1
+                if not live:
+                    break
         return r
 
     def inverse(self) -> "BitMatrix":
@@ -248,24 +272,29 @@ class BitMatrix:
         if self.rows != self.cols:
             raise DimensionError(f"cannot invert {self.rows}x{self.cols}")
         n = self.cols
-        # Each working row holds (matrix row << n) | identity row.
-        aug = [(self.words[r] << n) | (1 << (n - 1 - r)) for r in range(n)]
-        r = 0
-        for c in range(n):
-            pos = 2 * n - 1 - c
-            piv = next((i for i in range(r, n) if (aug[i] >> pos) & 1), -1)
-            if piv < 0:
-                continue
-            aug[r], aug[piv] = aug[piv], aug[r]
-            prow = aug[r]
-            for i in range(n):
-                if i != r and (aug[i] >> pos) & 1:
-                    aug[i] ^= prow
-            r += 1
-        if r < n:
+        if not n:
+            return self
+        # Slot r holds (matrix row r << n) | identity row r.
+        s = 2 * n
+        big = _pack([(w << n) | (1 << (n - 1 - r)) for r, w in enumerate(self.words)], s)
+        every = _slot_ones(n, s)
+        live = every
+        mask = (1 << s) - 1
+        pivots = []
+        for b in range(s - 1, n - 1, -1):
+            sel = (big >> b) & every
+            cand = sel & live
+            if cand:
+                at = cand.bit_length() - 1
+                pivot = 1 << at
+                big ^= (sel ^ pivot) * ((big >> at) & mask)
+                live ^= pivot
+                pivots.append(at)
+        if len(pivots) < n:
+            r = len(pivots)
             raise SingularError(f"matrix of rank {r} < {n} is singular", r)
-        mask = (1 << n) - 1
-        return BitMatrix(n, n, tuple(w & mask for w in aug))
+        right = (1 << n) - 1
+        return BitMatrix(n, n, tuple((big >> at) & right for at in pivots))
 
 
 def identity(n: int) -> BitMatrix:

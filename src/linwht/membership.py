@@ -14,7 +14,8 @@ where e = (0, ..., 0, 1)^T.  The conditions are
 
 Neither condition implies the other; ``find_counterexample`` searches
 out witnesses for both gaps.  Everything here runs on n x n bit
-matrices only (O(n^4) bit operations), never on 2^n-sized objects.
+matrices only, never on 2^n-sized objects: O(n) products of n x n
+matrices, which is O(n^3) operations on n-bit row words.
 """
 
 from __future__ import annotations
@@ -79,13 +80,21 @@ def spreading_matrix(P: AlgorithmSeq) -> BitMatrix:
     return _spreading_from_prefix(_prefix_products(P), P.n)
 
 
+def _first_mismatch(a: BitMatrix, b: BitMatrix) -> Optional[int]:
+    """Number (from 1) of the first row where a and b differ, or None."""
+    return next((r for r, (x, y) in enumerate(zip(a.words, b.words), start=1) if x != y), None)
+
+
 def check_membership(P: AlgorithmSeq) -> CheckReport:
     """Evaluate both membership conditions without forming any inverse of X.
 
     The inverse condition is tested as M * X = I where M stacks the
     claimed rows; the bottom rows of the partial-product inverses come
     from one inversion of P_{0:n-1} via
-    P_{0:j}^{-1} = P_{j+1:n-1} * P_{0:n-1}^{-1}.
+    P_{0:j}^{-1} = P_{j+1:n-1} * P_{0:n-1}^{-1}.  A failed condition's
+    witness names its first bad row, counted from 1: the first row where
+    P_{0:n} and X*X^T differ, or the first k where row k of M is not
+    row k of X^{-1} (the first row of M*X that is not the identity's).
     """
     n = P.n
     mats = P.matrices
@@ -93,9 +102,9 @@ def check_membership(P: AlgorithmSeq) -> CheckReport:
     x = _spreading_from_prefix(prefix, n)
     rank_x = x.rank()
     x_invertible = rank_x == n
-    cond_product = prefix[n] == x @ x.transpose()
+    bad_product = _first_mismatch(prefix[n], x @ x.transpose())
 
-    cond_inverse = False
+    bad_inverse = None
     if x_invertible:
         # rho[j] = bottom row of P_{j+1:n-1}, accumulated right to left
         rho = [0] * n
@@ -106,17 +115,22 @@ def check_membership(P: AlgorithmSeq) -> CheckReport:
                 suffix = mats[j] @ suffix
         f = prefix[n - 1].inverse()
         claimed = BitMatrix(n, n, tuple(f.left_apply(rho[n - 1 - r]) for r in range(n)))
-        cond_inverse = claimed @ x == identity(n)
+        bad_inverse = _first_mismatch(claimed @ x, identity(n))
 
+    cond_product = bad_product is None
+    cond_inverse = x_invertible and bad_inverse is None
     passed = cond_product and cond_inverse
     if passed:
         witness = None
     elif not x_invertible:
         witness = f"spreading matrix is singular (rank {rank_x} of {n})"
     elif not cond_product:
-        witness = "product of all stage matrices differs from X*X^T"
+        witness = f"product of all stage matrices differs from X*X^T, first in row {bad_product} of {n}"
     else:
-        witness = "rows of X^-1 do not match the partial-product inverses"
+        witness = (
+            f"rows of X^-1 do not match the partial-product inverses: row {bad_inverse} of {n}"
+            f" is not the bottom row of P_0:{n - bad_inverse}^-1"
+        )
     return CheckReport(passed, x_invertible, cond_product, cond_inverse, witness)
 
 
@@ -130,17 +144,39 @@ def check_corner_condition(P: AlgorithmSeq) -> bool:
 
     Equivalent to the inverse condition of ``check_membership``, and to
     the computed matrix having an all-ones first row and first column.
+
+    With e the last basis vector, v_k = P_{1:k-1}*e (v_1 = e) and
+    u_l = e^T * P_{1:l}^{-1} (u_0 = e^T), the corners are
+
+        corner(P_{k:l})      = <u_{k-1}, v_{l+1}>
+        corner(P_{k:l}^{-1}) = <u_l, v_k>,
+
+    and u_l = (bottom row of P_{l+1:n-1}) * P_{1:n-1}^{-1}.  One
+    inversion, n prefix and n suffix products give every u and v, and
+    the corners are O(n^2) parities; X is never formed.
     """
     n = P.n
-    inv = [P[k].inverse() for k in range(1, n)]
+    if n == 1:
+        return True
+    mats = P.matrices
+    # v[k] = P_{1:k-1} e for k = 1..n (v[0] unused); prefix ends as P_{1:n-1}
+    v = [0, 1]
+    prefix = mats[1]
+    for k in range(2, n + 1):
+        v.append(prefix.apply(1))
+        if k < n:
+            prefix = prefix @ mats[k]
+    f = prefix.inverse()
+    # u[0] = e^T; u[l] from the bottom row of suffix = P_{l+1:n-1}, right to left
+    u = [1] * n
+    suffix = identity(n)
+    for l in range(n - 1, 0, -1):
+        u[l] = f.left_apply(suffix.words[-1])
+        if l > 1:
+            suffix = mats[l] @ suffix
     for k in range(1, n):
-        acc = P[k]
-        acc_inv = inv[k - 1]
         for l in range(k, n):
-            if l > k:
-                acc = acc @ P[l]
-                acc_inv = inv[l - 1] @ acc_inv
-            if acc.entry(n - 1, n - 1) or acc_inv.entry(n - 1, n - 1):
+            if parity(u[k - 1] & v[l + 1]) or parity(u[l] & v[k]):
                 return False
     return True
 

@@ -47,37 +47,22 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _is_digit(ch: str) -> bool:
-    return ch.isascii() and ch.isdigit()
+_SPACE = re.compile(r"(?:\s|#[^\n]*)*")
+_BITS = re.compile(r"[01]+")
+_DIGITS = re.compile(r"[0-9]+")
 
 
 class _Scanner:
+    """Tokens by compiled regexes; line and column are derived from
+    ``pos`` only when an error is raised."""
+
     def __init__(self, text: str, start_line: int = 1):
         self.text = text
         self.pos = 0
-        self.line = start_line
-        self.col = 1
-
-    def _advance(self) -> str:
-        ch = self.text[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return ch
+        self.start_line = start_line
 
     def skip_space(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            elif ch.isspace():
-                self._advance()
-            else:
-                return
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def at_end(self) -> bool:
         self.skip_space()
@@ -85,53 +70,57 @@ class _Scanner:
 
     def peek(self) -> str:
         self.skip_space()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos : self.pos + 1]
+
+    def error(self, message: str, pos: int) -> ParseError:
+        line = self.start_line + self.text.count("\n", 0, pos)
+        return ParseError(message, line, pos - self.text.rfind("\n", 0, pos))
 
     def fail(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
+        return self.error(message, self.pos)
 
     def expect(self, ch: str) -> None:
         got = self.peek()
         if got != ch:
             shown = repr(got) if got else "end of input"
             raise self.fail(f"expected {ch!r}, found {shown}")
-        self._advance()
+        self.pos += 1
 
     def matrix(self, rows: int, cols: int, label: str) -> BitMatrix:
         words = []
         for r in range(rows):
             if r:
                 self.expect("/")
-            word = 0
-            width = 0
-            while self.peek() in ("0", "1"):
-                word = (word << 1) | (self._advance() == "1")
-                width += 1
-            if width != cols:
-                raise self.fail(f"{label}: row {r} has {width} digits, expected {cols}")
-            words.append(word)
+            # a row is one or more runs of digits, split by space or comments
+            bits = ""
+            while m := _BITS.match(self.text, _SPACE.match(self.text, self.pos).end()):
+                bits += m.group()
+                self.pos = m.end()
+            self.skip_space()
+            if len(bits) != cols:
+                raise self.fail(f"{label}: row {r} has {len(bits)} digits, expected {cols}")
+            words.append(int(bits, 2))
         return BitMatrix(rows, cols, tuple(words))
 
     def header(self) -> int:
         self.expect("n")
         self.expect("=")
-        if not _is_digit(self.peek()):
+        self.skip_space()
+        m = _DIGITS.match(self.text, self.pos)
+        if not m:
             raise self.fail("expected an integer")
-        line, col = self.line, self.col
-        digits = ""
-        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
-            digits += self._advance()
-        digits = digits.lstrip("0") or "0"
+        self.pos = m.end()
+        digits = m.group().lstrip("0") or "0"
         # the digit count goes first: int() refuses very long digit strings
         if len(digits) > len(str(N_MAX)) or not 1 <= int(digits) <= N_MAX:
             shown = digits if len(digits) <= 8 else f"a {len(digits)}-digit number"
-            raise ParseError(f"n must be in 1..{N_MAX}, got {shown}", line, col)
+            raise self.error(f"n must be in 1..{N_MAX}, got {shown}", m.start())
         self.expect(";")
         return int(digits)
 
     def finish(self, expected: str) -> None:
         if self.peek() == ";":
-            self._advance()
+            self.pos += 1
         if not self.at_end():
             raise self.fail(f"unexpected trailing input after {expected}")
 

@@ -77,6 +77,35 @@ def naive_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+def naive_inverse(rows: list[list[int]]) -> list[list[int]]:
+    """Textbook Gauss-Jordan on [A | I]; raises ValueError when A is singular."""
+    n = len(rows)
+    m = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            raise ValueError("singular")
+        m[c], m[pivot] = m[pivot], m[c]
+        for r in range(n):
+            if r != c and m[r][c]:
+                m[r] = [x ^ y for x, y in zip(m[r], m[c])]
+    return [r[n:] for r in m]
+
+
+def naive_corner(P: AlgorithmSeq) -> bool:
+    """The corner condition from every central product P_{k:l} (0 < k <= l < n)
+    and its inverse, each formed entry by entry."""
+    n = P.n
+    for k in range(1, n):
+        acc = P[k].to_lists()
+        for l in range(k, n):
+            if l > k:
+                acc = naive_mul(acc, P[l].to_lists())
+            if acc[n - 1][n - 1] or naive_inverse(acc)[n - 1][n - 1]:
+                return False
+    return True
+
+
 def brute_gl(n: int) -> set[tuple[int, ...]]:
     """Every invertible n x n matrix as a word tuple, by exhaustive scan."""
     assert n <= 3

@@ -29,6 +29,9 @@ from helpers import (
     N2_ROWS,
     border_all_ones,
     forced_singular_sequence,
+    naive_corner,
+    naive_inverse,
+    naive_mul,
     random_sequence,
     read_fixture,
     twisted_member,
@@ -158,6 +161,48 @@ def test_corner_condition_equivalences_random(n, seed):
     assert corner == r.cond_inverse == border_all_ones(P)
 
 
+def _corner_draw(n: int, kind: str, rng: random.Random) -> AlgorithmSeq:
+    if kind == "member":
+        return sample_member(n, rng.randrange(1 << 30))
+    if kind == "twisted":
+        return twisted_member(n, rng)
+    if kind == "singular":
+        return forced_singular_sequence(n, rng)
+    return random_sequence(n, rng)
+
+
+CORNER_KINDS = ("member", "twisted", "random", "singular")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 8), st.sampled_from(CORNER_KINDS), st.integers(0, 2**30))
+def test_corner_condition_against_naive(n, kind, seed):
+    """The u/v parities against every central product and its inverse,
+    formed entry by entry."""
+    if n == 1 and kind in ("twisted", "singular"):
+        kind = "member"
+    P = _corner_draw(n, kind, random.Random(seed))
+    corner = check_corner_condition(P)
+    assert corner == naive_corner(P)
+    if kind in ("member", "twisted"):
+        assert corner
+    if kind == "singular":
+        assert not corner
+
+
+def test_corner_condition_against_naive_sweep():
+    rng = random.Random(77)
+    outcomes = set()
+    for n in range(2, 9):
+        for kind in CORNER_KINDS:
+            for _ in range(6):
+                P = _corner_draw(n, kind, rng)
+                corner = check_corner_condition(P)
+                assert corner == naive_corner(P), (kind, format_sequence(P))
+                outcomes.add(corner)
+    assert outcomes == {True, False}
+
+
 def test_corner_n2_means_central_shuffle():
     c2 = BitMatrix.from_text("01/10")
     for P in all_n2_sequences():
@@ -211,6 +256,38 @@ def test_frozen_counterexamples_still_split_conditions(name):
     else:
         assert r.cond_product and not r.cond_inverse
     assert not (evaluate(P) == hadamard(P.n)).all()
+
+
+def _lists_product(mats):
+    acc = mats[0].to_lists()
+    for m in mats[1:]:
+        acc = naive_mul(acc, m.to_lists())
+    return acc
+
+
+def test_product_witness_names_first_bad_row():
+    P = parse_document(read_fixture("break_product_n3.alg")).seq
+    witness = check_membership(P).witness
+    assert witness.startswith("product of all stage matrices differs from X*X^T")
+    x = spreading_matrix(P).to_lists()
+    gram = naive_mul(x, [list(col) for col in zip(*x)])
+    total = _lists_product(P.matrices)
+    first = next(r for r in range(P.n) if total[r] != gram[r])
+    assert first == 1
+    assert witness.endswith(f"first in row {first + 1} of {P.n}")
+
+
+def test_inverse_witness_names_first_bad_row():
+    P = parse_document(read_fixture("break_inverse_n3.alg")).seq
+    witness = check_membership(P).witness
+    assert witness.startswith("rows of X^-1 do not match the partial-product inverses")
+    n = P.n
+    x_inv = naive_inverse(spreading_matrix(P).to_lists())
+    # row k of X^-1 should be the bottom row of P_{0:n-k}^-1
+    bottoms = {k: naive_inverse(_lists_product(P.matrices[: n - k + 1]))[n - 1] for k in range(1, n + 1)}
+    k = next(k for k in range(1, n + 1) if x_inv[k - 1] != bottoms[k])
+    assert k == 2
+    assert f"row {k} of {n} is not the bottom row of P_0:{n - k}^-1" in witness
 
 
 def test_counterexample_arg_validation():

@@ -55,6 +55,34 @@ def test_parse_error_positions():
     assert e.value.line == 3
 
 
+# (line, column) of each error as reported before the scanner read
+# tokens by regular expressions, which derive both from the offset.
+@pytest.mark.parametrize(
+    "parse,text,line,column",
+    [
+        # an error after a multi-line comment
+        (parse_sequence, "# a comment\n# that runs\n# over three lines\nn=2; 10/01; 01/10; 0110\n", 5, 1),
+        # a row split across lines by whitespace and a comment
+        (parse_sequence, "n=2; 10/01; 01/10;\n  1 # the row goes on\n  0 / 0 1 0\n", 4, 1),
+        (parse_sequence, "n=2; 10/01; 01/10; 01/10\n\t# tail\n  01", 3, 5),
+        # an error in the body of a document with a metadata header
+        (parse_document, "# name: x\n# seed: 1\n\nn=2; 10/01;\n01/10; 01/1x\n", 5, 12),
+        (parse_document, "# name: x\n\n# seed: 2\nn=70; 1", 4, 3),
+        # a wrong row width at the end of input
+        (parse_sequence, "n=2;\n10/01;\n01/10;\n01/1", 4, 5),
+        # a stray character after the last matrix
+        (parse_sequence, "n=2; 10/01; 01/10; 01/10 x", 1, 26),
+        (parse_sequence, "n=2; 10/01; 01/10; 01/10;\n# done\n ;", 3, 2),
+        (parse_factors, "n=3; 100/010/001; 10/01; 10/01; 10/01\n\n  ! ", 3, 3),
+    ],
+)
+def test_parse_error_positions_pinned(parse, text, line, column):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (e.value.line, e.value.column) == (line, column)
+    assert str(e.value).endswith(f"(line {line}, column {column})")
+
+
 @pytest.mark.parametrize(
     "text",
     [
