@@ -13,12 +13,12 @@ bit column vectors).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .config import N_MAX
-from .gf2 import BitMatrix, DimensionError, SingularError, identity
+from .gf2 import BitMatrix, DimensionError, SingularError
 
-__all__ = ["AlgorithmSeq", "seq_product", "reversed_inverted"]
+__all__ = ["AlgorithmSeq", "reversed_inverted"]
 
 
 @dataclass(frozen=True)
@@ -55,18 +55,6 @@ class AlgorithmSeq:
     def key(self) -> str:
         """Canonical text form, usable as a dictionary/dedupe key."""
         return ";".join(m.to_text() for m in self.matrices)
-
-
-def seq_product(P: Sequence[BitMatrix], i: int, j: int) -> BitMatrix:
-    """Product P_i * P_{i+1} * ... * P_j; the identity when j < i."""
-    last = len(P) - 1
-    if not (0 <= i <= last and 0 <= j <= last):
-        raise IndexError(f"product range [{i}, {j}] outside [0, {last}]")
-    n = P[0].rows
-    acc = identity(n)
-    for k in range(i, j + 1):
-        acc = acc @ P[k]
-    return acc
 
 
 def reversed_inverted(P: AlgorithmSeq) -> AlgorithmSeq:

@@ -8,7 +8,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from .algorithm import AlgorithmSeq, seq_product
+from .algorithm import AlgorithmSeq
 from .catalog import CATALOG, to_sequency
 from .config import N_MAX, SizeLimitError, active_limits
 from .dot import export_dot
@@ -26,7 +26,13 @@ from .groups import (
     count_bit_index_algorithms,
     exact_str,
 )
-from .membership import NotMemberError, check_corner_condition, check_membership, spreading_matrix
+from .membership import (
+    NotMemberError,
+    _corner_witness,
+    _prefix_products,
+    _spreading,
+    check_membership,
+)
 from .oracle import evaluate, hadamard
 from .textio import (
     AlgorithmDocument,
@@ -60,8 +66,11 @@ def _check_one(P: AlgorithmSeq, mode: str) -> tuple[bool, Optional[str]]:
     if mode == "oracle":
         ok = bool((evaluate(P) == hadamard(P.n)).all())
         return ok, None if ok else "computed matrix differs from the transform"
-    ok = check_corner_condition(P)
-    return ok, None if ok else "a central partial product has a nonzero bottom-right corner"
+    bad = _corner_witness(P)
+    if bad is None:
+        return True, None
+    k, l, inverse = bad
+    return False, f"corner of P_{{{k}:{l}}}{'^-1' if inverse else ''} is 1"
 
 
 def _cmd_check(args) -> int:
@@ -91,9 +100,9 @@ def _format_row(P: AlgorithmSeq, table: bool) -> str:
     if not table:
         return format_sequence(P)
     mats = "; ".join(m.to_text() for m in P)
-    prod = seq_product(P, 0, P.n).to_text()
-    x = spreading_matrix(P).to_text()
-    return f"{mats} | product {prod} | X {x}"
+    prefix = _prefix_products(P.matrices)
+    x = _spreading(prefix, P.n)[0]
+    return f"{mats} | product {prefix[-1].to_text()} | X {x.to_text()}"
 
 
 def _cmd_enumerate(args) -> int:

@@ -24,7 +24,7 @@ from .algorithm import AlgorithmSeq
 from .config import BIT_INDEX_ENUM_MAX, MEMBER_ENUM_MAX, N_MAX
 from .gf2 import BitMatrix, DimensionError, SingularError, rotation_matrix
 from .groups import enumerate_gl, enumerate_perm, random_invertible
-from .membership import NotMemberError, check_membership, spreading_matrix
+from .membership import NotMemberError, _structure, check_membership
 from .oracle import evaluate, hadamard
 
 __all__ = [
@@ -95,16 +95,17 @@ def build(f: FactorTuple) -> AlgorithmSeq:
 def factorize(P: AlgorithmSeq) -> FactorTuple:
     """Recover the (B, Q_1..Q_n) coordinates of a member.
 
-    Raises NotMemberError when the sequence fails ``check_membership``.
+    B is the spreading matrix X and B^{-1} the matrix M of the same
+    structural pass as ``check_membership``, which equals X^{-1} on a
+    member.  Raises NotMemberError when the sequence fails that check.
     """
-    report = check_membership(P)
+    report, _, b, b_inv = _structure(P)
     if not report.passed:
         raise NotMemberError(report.witness or "sequence fails the membership conditions")
     n = P.n
-    b = spreading_matrix(P)
     c_t = rotation_matrix(n).transpose()
     qs = []
-    tilde = b.inverse() @ P[0]
+    tilde = b_inv @ P[0]
     qs.append(_unbordered(tilde))
     for i in range(1, n):
         tilde = c_t @ tilde @ P[i]

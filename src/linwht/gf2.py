@@ -28,7 +28,7 @@ so instances can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -132,38 +132,6 @@ class BitMatrix:
     # -- construction ------------------------------------------------
 
     @staticmethod
-    def from_rows(rows: Iterable[Iterable[int]]) -> "BitMatrix":
-        """Build from nested 0/1 entries, row-major."""
-        packed = []
-        width = None
-        for row in rows:
-            bits = list(row)
-            if width is None:
-                width = len(bits)
-            elif len(bits) != width:
-                raise DimensionError("ragged rows")
-            w = 0
-            for b in bits:
-                if b not in (0, 1):
-                    raise ValueError(f"entry {b!r} is not a bit")
-                w = (w << 1) | b
-            packed.append(w)
-        return BitMatrix(len(packed), width or 0, tuple(packed))
-
-    @staticmethod
-    def from_cols(cols: Sequence[int], rows: int) -> "BitMatrix":
-        """Build from packed column vectors, leftmost first."""
-        ncols = len(cols)
-        words = []
-        for r in range(rows):
-            rbit = rows - 1 - r
-            w = 0
-            for c in range(ncols):
-                w = (w << 1) | ((cols[c] >> rbit) & 1)
-            words.append(w)
-        return BitMatrix(rows, ncols, tuple(words))
-
-    @staticmethod
     def from_text(text: str) -> "BitMatrix":
         """Parse the ``/``-separated row form, e.g. ``01/10``."""
         rows = text.split("/")
@@ -178,11 +146,6 @@ class BitMatrix:
         return BitMatrix(len(words), width, tuple(words))
 
     # -- queries -----------------------------------------------------
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-        return (self.words[i] >> (self.cols - 1 - j)) & 1
 
     def to_text(self) -> str:
         return "/".join(format(w, f"0{self.cols}b") for w in self.words)

@@ -16,17 +16,26 @@ Neither condition implies the other; ``find_counterexample`` searches
 out witnesses for both gaps.  Everything here runs on n x n bit
 matrices only, never on 2^n-sized objects: O(n) products of n x n
 matrices, which is O(n^3) operations on n-bit row words.
+
+One structural pass, ``_structure``, forms the prefix products
+P_{0:k} (``_prefix_products`` is the only such fold), X, its rank,
+X * X^T, the suffix rows, one inversion and M * X = I, and hands all of
+it back: ``check_membership`` keeps the report, ``factorize`` takes
+B = X and B^{-1} = M from it, and ``predict_plus_set`` takes P_{0:n}
+and X.  ``check_corner_condition`` shares the folds and the suffix-row
+loop but computes its own u/v parities.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .algorithm import AlgorithmSeq, seq_product
+from .algorithm import AlgorithmSeq
 from .gf2 import BitMatrix, identity, parity
 from .groups import random_invertible
+from .oracle import _guard
 
 __all__ = [
     "CheckReport",
@@ -64,20 +73,36 @@ class CheckReport:
             raise ValueError("inconsistent report: inverse condition needs invertible X")
 
 
-def _prefix_products(P: AlgorithmSeq) -> list[BitMatrix]:
-    prefix = [P[0]]
-    for k in range(1, P.n + 1):
-        prefix.append(prefix[-1] @ P[k])
+def _prefix_products(mats: Sequence[BitMatrix]) -> list[BitMatrix]:
+    """Running products mats[0], mats[0]*mats[1], ..., of the whole list."""
+    prefix = [mats[0]]
+    for m in mats[1:]:
+        prefix.append(prefix[-1] @ m)
     return prefix
 
 
-def _spreading_from_prefix(prefix: list[BitMatrix], n: int) -> BitMatrix:
-    return BitMatrix.from_cols([prefix[j].apply(1) for j in range(n - 1, -1, -1)], n)
+def _spreading(prefix: Sequence[BitMatrix], n: int) -> tuple[BitMatrix, BitMatrix]:
+    """X and X^T from the prefix products P_{0:0}, ..., P_{0:n-1}.
+
+    The rows of X^T are the columns of X, so it is built directly."""
+    xt = BitMatrix(n, n, tuple(prefix[j].apply(1) for j in range(n - 1, -1, -1)))
+    return xt.transpose(), xt
+
+
+def _suffix_rows(P: AlgorithmSeq, lo: int) -> list[int]:
+    """Bottom rows of P_{j+1:n-1} for j = n-1 down to lo (e^T first),
+    from suffix products accumulated right to left."""
+    rows = [1]
+    suffix = None
+    for j in range(P.n - 1, lo, -1):
+        suffix = P[j] if suffix is None else P[j] @ suffix
+        rows.append(suffix.words[-1])
+    return rows
 
 
 def spreading_matrix(P: AlgorithmSeq) -> BitMatrix:
     """Columns P_{0:n-1}*e, ..., P_0*e for e = (0,...,0,1)^T."""
-    return _spreading_from_prefix(_prefix_products(P), P.n)
+    return _spreading(_prefix_products(P.matrices[:-1]), P.n)[0]
 
 
 def _first_mismatch(a: BitMatrix, b: BitMatrix) -> Optional[int]:
@@ -85,37 +110,27 @@ def _first_mismatch(a: BitMatrix, b: BitMatrix) -> Optional[int]:
     return next((r for r, (x, y) in enumerate(zip(a.words, b.words), start=1) if x != y), None)
 
 
-def check_membership(P: AlgorithmSeq) -> CheckReport:
-    """Evaluate both membership conditions without forming any inverse of X.
+def _structure(
+    P: AlgorithmSeq,
+) -> tuple[CheckReport, list[BitMatrix], BitMatrix, Optional[BitMatrix]]:
+    """The one structural pass behind ``check_membership``.
 
-    The inverse condition is tested as M * X = I where M stacks the
-    claimed rows; the bottom rows of the partial-product inverses come
-    from one inversion of P_{0:n-1} via
-    P_{0:j}^{-1} = P_{j+1:n-1} * P_{0:n-1}^{-1}.  A failed condition's
-    witness names its first bad row, counted from 1: the first row where
-    P_{0:n} and X*X^T differ, or the first k where row k of M is not
-    row k of X^{-1} (the first row of M*X that is not the identity's).
+    Returns the report, the prefix products P_{0:0}, ..., P_{0:n}, X and
+    M, the matrix of claimed rows of X^{-1} (None when X is singular).
+    M = X^{-1} exactly when the inverse condition holds.
     """
     n = P.n
-    mats = P.matrices
-    prefix = _prefix_products(P)
-    x = _spreading_from_prefix(prefix, n)
+    prefix = _prefix_products(P.matrices)
+    x, xt = _spreading(prefix, n)
     rank_x = x.rank()
     x_invertible = rank_x == n
-    bad_product = _first_mismatch(prefix[n], x @ x.transpose())
+    bad_product = _first_mismatch(prefix[n], x @ xt)
 
-    bad_inverse = None
+    m = bad_inverse = None
     if x_invertible:
-        # rho[j] = bottom row of P_{j+1:n-1}, accumulated right to left
-        rho = [0] * n
-        suffix = identity(n)
-        for j in range(n - 1, -1, -1):
-            rho[j] = suffix.words[-1]
-            if j:
-                suffix = mats[j] @ suffix
         f = prefix[n - 1].inverse()
-        claimed = BitMatrix(n, n, tuple(f.left_apply(rho[n - 1 - r]) for r in range(n)))
-        bad_inverse = _first_mismatch(claimed @ x, identity(n))
+        m = BitMatrix(n, n, tuple(f.left_apply(w) for w in _suffix_rows(P, 0)))
+        bad_inverse = _first_mismatch(m @ x, identity(n))
 
     cond_product = bad_product is None
     cond_inverse = x_invertible and bad_inverse is None
@@ -131,7 +146,22 @@ def check_membership(P: AlgorithmSeq) -> CheckReport:
             f"rows of X^-1 do not match the partial-product inverses: row {bad_inverse} of {n}"
             f" is not the bottom row of P_0:{n - bad_inverse}^-1"
         )
-    return CheckReport(passed, x_invertible, cond_product, cond_inverse, witness)
+    report = CheckReport(passed, x_invertible, cond_product, cond_inverse, witness)
+    return report, prefix, x, m
+
+
+def check_membership(P: AlgorithmSeq) -> CheckReport:
+    """Evaluate both membership conditions without forming any inverse of X.
+
+    The inverse condition is tested as M * X = I where M stacks the
+    claimed rows; the bottom rows of the partial-product inverses come
+    from one inversion of P_{0:n-1} via
+    P_{0:j}^{-1} = P_{j+1:n-1} * P_{0:n-1}^{-1}.  A failed condition's
+    witness names its first bad row, counted from 1: the first row where
+    P_{0:n} and X*X^T differ, or the first k where row k of M is not
+    row k of X^{-1} (the first row of M*X that is not the identity's).
+    """
+    return _structure(P)[0]
 
 
 def is_member(P: AlgorithmSeq) -> bool:
@@ -155,47 +185,48 @@ def check_corner_condition(P: AlgorithmSeq) -> bool:
     inversion, n prefix and n suffix products give every u and v, and
     the corners are O(n^2) parities; X is never formed.
     """
+    return _corner_witness(P) is None
+
+
+def _corner_witness(P: AlgorithmSeq) -> Optional[tuple[int, int, bool]]:
+    """The first (k, l), by ascending k and then l, whose corner is set,
+    with True when it is the corner of P_{k:l}^{-1}; None when the
+    condition holds."""
     n = P.n
     if n == 1:
-        return True
-    mats = P.matrices
-    # v[k] = P_{1:k-1} e for k = 1..n (v[0] unused); prefix ends as P_{1:n-1}
-    v = [0, 1]
-    prefix = mats[1]
-    for k in range(2, n + 1):
-        v.append(prefix.apply(1))
-        if k < n:
-            prefix = prefix @ mats[k]
-    f = prefix.inverse()
-    # u[0] = e^T; u[l] from the bottom row of suffix = P_{l+1:n-1}, right to left
-    u = [1] * n
-    suffix = identity(n)
-    for l in range(n - 1, 0, -1):
-        u[l] = f.left_apply(suffix.words[-1])
-        if l > 1:
-            suffix = mats[l] @ suffix
+        return None
+    # prefix[k - 2] = P_{1:k-1}, so v[k] = P_{1:k-1} e for k = 2..n
+    prefix = _prefix_products(P.matrices[1:n])
+    v = [0, 1] + [p.apply(1) for p in prefix]
+    f = prefix[-1].inverse()
+    u = [1] + [f.left_apply(w) for w in reversed(_suffix_rows(P, 1))]
     for k in range(1, n):
         for l in range(k, n):
-            if parity(u[k - 1] & v[l + 1]) or parity(u[l] & v[k]):
-                return False
-    return True
+            if parity(u[k - 1] & v[l + 1]):
+                return k, l, False
+            if parity(u[l] & v[k]):
+                return k, l, True
+    return None
 
 
 def predict_plus_set(P: AlgorithmSeq, i: int) -> frozenset[int]:
     """Outputs predicted to carry +1 in column i, from bit matrices alone.
 
-    Requires the corner condition; then the +1 rows of column i are
-    exactly { j : <(X X^T)^{-1} P_{0:n} i, j> = 0 }.  For i = 0 this is
-    every output index.
+    Requires the corner condition, tested as the equivalent inverse
+    condition; then the +1 rows of column i are exactly
+    { j : <(X X^T)^{-1} P_{0:n} i, j> = 0 }.  For i = 0 this is every
+    output index.  The set has up to 2^n entries, so n is bounded like
+    the dense oracle (``SizeLimitError`` above ``oracle_max_n``).
     """
     n = P.n
     if not 0 <= i < 1 << n:
         raise ValueError(f"input index {i} outside 0..{(1 << n) - 1}")
-    if not check_corner_condition(P):
+    _guard(n)
+    report, prefix, x, _ = _structure(P)
+    if not report.cond_inverse:
         raise ConditionError("plus-set prediction needs the corner condition to hold")
-    x = spreading_matrix(P)
     gram_inv = (x @ x.transpose()).inverse()
-    u = gram_inv.apply(seq_product(P, 0, n).apply(i))
+    u = gram_inv.apply(prefix[n].apply(i))
     return frozenset(j for j in range(1 << n) if parity(u & j) == 0)
 
 

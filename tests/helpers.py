@@ -106,6 +106,38 @@ def naive_corner(P: AlgorithmSeq) -> bool:
     return True
 
 
+def naive_corner_witness(P: AlgorithmSeq):
+    """The first (k, l), in ``naive_corner``'s order, whose central product
+    has a 1 in its corner, with True when it is the inverse's corner; None
+    when no corner is set."""
+    n = P.n
+    for k in range(1, n):
+        acc = P[k].to_lists()
+        for l in range(k, n):
+            if l > k:
+                acc = naive_mul(acc, P[l].to_lists())
+            if acc[n - 1][n - 1]:
+                return k, l, False
+            if naive_inverse(acc)[n - 1][n - 1]:
+                return k, l, True
+    return None
+
+
+def naive_prefix_products(P: AlgorithmSeq) -> list[list[list[int]]]:
+    """P_{0:0}, P_{0:1}, ..., P_{0:n}, each multiplied entry by entry."""
+    out = [P[0].to_lists()]
+    for m in P.matrices[1:]:
+        out.append(naive_mul(out[-1], m.to_lists()))
+    return out
+
+
+def naive_spreading(P: AlgorithmSeq) -> list[list[int]]:
+    """X, whose column c is the last column of P_{0:n-1-c}."""
+    n = P.n
+    prefix = naive_prefix_products(P)
+    return [[prefix[n - 1 - c][r][n - 1] for c in range(n)] for r in range(n)]
+
+
 def brute_gl(n: int) -> set[tuple[int, ...]]:
     """Every invertible n x n matrix as a word tuple, by exhaustive scan."""
     assert n <= 3

@@ -1,3 +1,6 @@
+import operator
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,6 @@ from linwht import (
     iterative_ct,
     pease,
     pease_transpose,
-    seq_product,
     to_sequency,
 )
 from linwht.catalog import _bit_swap
@@ -82,7 +84,7 @@ def test_ict_stage_locality(n):
     bits k and n, so stage-k butterfly partners differ in exactly bit k."""
     P = iterative_ct(n)
     for k in range(1, n + 1):
-        assert seq_product(P, k, n) == _bit_swap(n, k)
+        assert reduce(operator.matmul, P.matrices[k:]) == _bit_swap(n, k)
     assert P[n] == identity(n)
 
 

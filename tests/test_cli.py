@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from linwht import count_algorithms, count_algorithms_simplified, count_bit_inde
 from linwht.cli import main
 from linwht.textio import format_sequence, parse_document, parse_factors, parse_sequence
 
-from helpers import FIXTURES, N2_ROWS
+from helpers import FIXTURES, N2_ROWS, naive_corner_witness, random_sequence
 
 
 def run_cli(capsys, *argv):
@@ -51,6 +52,27 @@ def test_check_oracle_and_corners(capsys):
 
     code, out, _ = run_cli(capsys, "check", "--corners", fixture("break_product_n3.alg"))
     assert code == 0 and "PASS corners" in out
+
+
+def test_check_corners_names_first_bad_pair(capsys, tmp_path):
+    names = ("nonmember2", "break_inverse_n2", "break_inverse_n3")
+    code, out, _ = run_cli(capsys, "check", "--corners", *(fixture(f"{m}.alg") for m in names))
+    assert code == 1
+    assert out.splitlines() == [
+        f"FAIL corners {fixture('nonmember2.alg')}: corner of P_{{1:1}} is 1",
+        f"FAIL corners {fixture('break_inverse_n2.alg')}: corner of P_{{1:1}}^-1 is 1",
+        f"FAIL corners {fixture('break_inverse_n3.alg')}: corner of P_{{2:2}} is 1",
+    ]
+    # a witness with k < l, found by the naive search
+    rng = random.Random(0)
+    P = random_sequence(3, rng)
+    while (naive_corner_witness(P) or (0, 0))[:2] != (1, 2):
+        P = random_sequence(3, rng)
+    path = tmp_path / "k_below_l.alg"
+    path.write_text(format_sequence(P) + "\n")
+    code, out, _ = run_cli(capsys, "check", "--corners", str(path))
+    suffix = "^-1" if naive_corner_witness(P)[2] else ""
+    assert code == 1 and out == f"FAIL corners {path}: corner of P_{{1:2}}{suffix} is 1\n"
 
 
 def test_check_modes_agree_on_fixtures(capsys):

@@ -23,7 +23,7 @@ from linwht import (
 )
 from linwht.config import MEMBER_ENUM_MAX
 from linwht.factory import _bordered, _unbordered, survey_members
-from linwht.gf2 import BitMatrix, DimensionError, SingularError
+from linwht.gf2 import BitMatrix, DimensionError, SingularError, rotation_matrix
 from linwht.groups import count_bit_index_algorithms, random_invertible
 from linwht.membership import spreading_matrix
 from linwht.textio import format_sequence, parse_document, parse_factors
@@ -72,6 +72,25 @@ def test_spreading_matrix_recovers_b():
     for seed in range(10):
         f = random_factors(4, seed)
         assert spreading_matrix(build(f)) == f.b
+
+
+def _factorize_from_spreading(P: AlgorithmSeq) -> FactorTuple:
+    """factorize as first written: B = spreading_matrix(P), B^-1 = B.inverse()."""
+    b = spreading_matrix(P)
+    c_t = rotation_matrix(P.n).transpose()
+    tilde = b.inverse() @ P[0]
+    qs = [_unbordered(tilde)]
+    for i in range(1, P.n):
+        tilde = c_t @ tilde @ P[i]
+        qs.append(_unbordered(tilde))
+    return FactorTuple(b, tuple(qs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**30))
+def test_factorize_matches_spreading_construction(n, seed):
+    P = sample_member(n, seed)
+    assert factorize(P) == _factorize_from_spreading(P)
 
 
 @settings(max_examples=30, deadline=None)

@@ -52,25 +52,11 @@ def test_text_example_packing():
     assert m.to_lists() == [[0, 1], [1, 0]]
 
 
-def test_from_rows():
-    m = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
-    assert m.rows == 2 and m.cols == 3
-    assert m.words == (0b101, 0b011)
-
-
-def test_from_cols_packs_column_vectors():
-    m = BitMatrix.from_cols([0b10, 0b01, 0b11], rows=2)
-    assert m.to_lists() == [[1, 0, 1], [0, 1, 1]]
-    assert m.transpose() == BitMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
-
-
 def test_bad_shapes_rejected():
     with pytest.raises(DimensionError):
         BitMatrix(2, 2, (1, 2, 3))
     with pytest.raises(DimensionError):
         BitMatrix(1, 1, (2,))
-    with pytest.raises(DimensionError):
-        BitMatrix.from_rows([[1, 0], [1]])
     with pytest.raises(DimensionError):
         BitMatrix.from_text("10/1")
 

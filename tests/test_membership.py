@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from linwht import (
     AlgorithmSeq,
     CheckReport,
     ConditionError,
+    SizeLimitError,
     check_corner_condition,
     check_membership,
     evaluate,
@@ -16,13 +18,15 @@ from linwht import (
     identity,
     is_member,
     pease,
+    predict_plus_set,
     reversed_inverted,
     sample_member,
     spreading_matrix,
 )
 from linwht.gf2 import BitMatrix
 from linwht.groups import enumerate_gl
-from linwht.membership import find_counterexample
+from linwht.membership import _corner_witness, _structure, find_counterexample
+from linwht.oracle import dependency_sets
 from linwht.textio import format_sequence, parse_document
 
 from helpers import (
@@ -30,8 +34,11 @@ from helpers import (
     border_all_ones,
     forced_singular_sequence,
     naive_corner,
+    naive_corner_witness,
     naive_inverse,
     naive_mul,
+    naive_prefix_products,
+    naive_spreading,
     random_sequence,
     read_fixture,
     twisted_member,
@@ -203,6 +210,30 @@ def test_corner_condition_against_naive_sweep():
     assert outcomes == {True, False}
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 6), st.sampled_from(("random", "singular")), st.integers(0, 2**30))
+def test_corner_witness_against_naive(n, kind, seed):
+    """The first failing pair (k, l) read from the u/v parities is the
+    first one a naive search over every central product finds."""
+    P = _corner_draw(n, kind, random.Random(seed))
+    bad = _corner_witness(P)
+    assert bad == naive_corner_witness(P)
+    assert check_corner_condition(P) == (bad is None)
+
+
+def test_corner_witness_against_naive_sweep():
+    rng = random.Random(78)
+    kinds = set()
+    for n in range(2, 7):
+        for kind in ("random", "singular"):
+            for _ in range(8):
+                P = _corner_draw(n, kind, rng)
+                bad = _corner_witness(P)
+                assert bad == naive_corner_witness(P), (kind, format_sequence(P))
+                kinds.add(None if bad is None else bad[2])
+    assert kinds == {None, False, True}
+
+
 def test_corner_n2_means_central_shuffle():
     c2 = BitMatrix.from_text("01/10")
     for P in all_n2_sequences():
@@ -210,8 +241,6 @@ def test_corner_n2_means_central_shuffle():
 
 
 def test_plus_set_pease_n2():
-    from linwht import predict_plus_set
-
     assert predict_plus_set(pease(2), 3) == frozenset({0, 3})
     assert predict_plus_set(pease(2), 0) == frozenset({0, 1, 2, 3})
 
@@ -219,9 +248,6 @@ def test_plus_set_pease_n2():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 4), st.integers(0, 2**30))
 def test_plus_set_matches_oracle_on_members_and_twists(n, seed):
-    from linwht import predict_plus_set
-    from linwht.oracle import dependency_sets
-
     rng = random.Random(seed)
     P = sample_member(n, seed) if seed % 2 else twisted_member(n, rng)
     for i in range(1 << n):
@@ -229,13 +255,58 @@ def test_plus_set_matches_oracle_on_members_and_twists(n, seed):
 
 
 def test_plus_set_requires_corner_condition():
-    from linwht import predict_plus_set
-
     P = AlgorithmSeq((identity(2),) * 3)
     with pytest.raises(ConditionError):
         predict_plus_set(P, 1)
     with pytest.raises(ValueError):
         predict_plus_set(pease(2), 4)
+
+
+def test_plus_set_refuses_sizes_above_oracle_limit():
+    P = sample_member(15, seed=15)
+    t0 = time.perf_counter()
+    with pytest.raises(SizeLimitError):
+        predict_plus_set(P, 1)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_plus_set_limit_follows_active_limits(monkeypatch):
+    P = sample_member(4, seed=4)
+    monkeypatch.setenv("WHT_MAX_N", "3")
+    with pytest.raises(SizeLimitError):
+        predict_plus_set(P, 1)
+    monkeypatch.setenv("WHT_MAX_N", "4")
+    assert predict_plus_set(P, 1) == dependency_sets(P, 0, 1).plus
+
+
+def test_plus_set_at_oracle_limit():
+    P = sample_member(14, seed=14)
+    for i in (0, 1, (1 << 14) - 1):
+        assert predict_plus_set(P, i) == dependency_sets(P, 0, i).plus
+
+
+SHARED_KINDS = ("member", "twisted", "random", "singular")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10), st.sampled_from(SHARED_KINDS), st.integers(0, 2**30))
+def test_shared_pass_against_naive(n, kind, seed):
+    """The one structural pass returns the naive prefix products, the
+    naive spreading matrix and, when the inverse condition holds, the
+    naive inverse of X as M."""
+    if n == 1:
+        kind = "member"
+    P = _corner_draw(n, kind, random.Random(seed))
+    report, prefix, x, m = _structure(P)
+    assert [q.to_lists() for q in prefix] == naive_prefix_products(P)
+    assert x.to_lists() == naive_spreading(P)
+    assert x == spreading_matrix(P)
+    if report.cond_inverse:
+        assert m.to_lists() == naive_inverse(x.to_lists())
+    if not report.x_invertible:
+        assert m is None
+    if kind == "member":
+        assert report.passed
 
 
 @pytest.mark.parametrize("which,n", [("product", 2), ("inverse", 2), ("product", 3), ("inverse", 3)])

@@ -5,7 +5,8 @@ import inspect
 import pkgutil
 
 import linwht
-from linwht import config, factory, gf2, groups, oracle
+from linwht import algorithm, config, factory, gf2, groups, oracle
+from linwht.gf2 import BitMatrix
 
 # The package's exported names; changing the surface means changing this set.
 PUBLIC = frozenset(
@@ -22,7 +23,15 @@ PUBLIC = frozenset(
         "hadamard", "identity", "is_member", "iterative_ct", "parity", "parse_document",
         "parse_factors", "parse_sequence", "pease", "pease_transpose", "predict_plus_set",
         "reversal_matrix", "reversed_inverted", "rotation_matrix", "sample_member",
-        "seq_product", "spreading_matrix", "survey_members", "to_sequency", "transform",
+        "spreading_matrix", "survey_members", "to_sequency", "transform",
+    }
+)
+
+# BitMatrix's public methods; adding or removing one is a surface change too.
+BITMATRIX_PUBLIC = frozenset(
+    {
+        "apply", "from_text", "inverse", "is_invertible", "is_permutation", "is_square",
+        "left_apply", "rank", "to_lists", "to_text", "transpose",
     }
 )
 
@@ -52,14 +61,22 @@ def test_removed_helpers_are_gone():
     removed = {
         groups: ("split_counts", "sample_gl"),
         gf2: ("int_to_bits", "bits_to_int"),
+        BitMatrix: ("from_rows", "from_cols", "entry", "__add__"),
+        algorithm: ("seq_product",),
+        linwht: ("seq_product",),
         oracle: ("apply_linear_perm", "apply_butterfly_array", "SignedMatrix"),
     }
-    for module, names in removed.items():
+    for owner, names in removed.items():
         for name in names:
-            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
     assert "n_max" not in {f.name for f in config.Limits.__dataclass_fields__.values()}
     for fn in (factory.enumerate_members, factory.enumerate_bit_index_members):
         assert list(inspect.signature(fn).parameters) == ["n"]
+
+
+def test_bitmatrix_methods_are_pinned():
+    assert {name for name in dir(BitMatrix) if not name.startswith("_")} == BITMATRIX_PUBLIC
+    assert [f.name for f in BitMatrix.__dataclass_fields__.values()] == ["rows", "cols", "words"]
 
 
 def test_size_bounds_live_in_config():
