@@ -75,16 +75,13 @@ def _check_one(P: AlgorithmSeq, mode: str) -> tuple[bool, Optional[str]]:
 
 def _cmd_check(args) -> int:
     mode = "oracle" if args.oracle else "corners" if args.corners else "fast"
-    failures = 0
-    for path in args.files:
-        P = parse_document(_read(path)).seq
-        ok, reason = _check_one(P, mode)
-        if ok:
-            print(f"PASS {mode} {path}")
-        else:
-            failures += 1
-            print(f"FAIL {mode} {path}: {reason}")
-    return 1 if failures else 0
+    # every file is read, parsed and checked before the first verdict is
+    # printed, so a bad input exits 2 with nothing on stdout
+    seqs = [parse_document(_read(path)).seq for path in args.files]
+    verdicts = [_check_one(P, mode) for P in seqs]
+    for path, (ok, reason) in zip(args.files, verdicts):
+        print(f"PASS {mode} {path}" if ok else f"FAIL {mode} {path}: {reason}")
+    return 0 if all(ok for ok, _ in verdicts) else 1
 
 
 def _cmd_count(args) -> int:

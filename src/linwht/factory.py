@@ -48,7 +48,7 @@ class FactorTuple:
 
     def __post_init__(self):
         n = self.b.rows
-        if not self.b.is_square() or n < 1:
+        if self.b.cols != n or n < 1:
             raise DimensionError(f"B must be square of size >= 1, got {self.b.rows}x{self.b.cols}")
         if (rank := self.b.rank()) != n:
             raise SingularError(f"B is singular (rank {rank} of {n})", rank)
@@ -99,7 +99,7 @@ def factorize(P: AlgorithmSeq) -> FactorTuple:
     structural pass as ``check_membership``, which equals X^{-1} on a
     member.  Raises NotMemberError when the sequence fails that check.
     """
-    report, _, b, b_inv = _structure(P)
+    report, _, b, _, b_inv = _structure(P)
     if not report.passed:
         raise NotMemberError(report.witness or "sequence fails the membership conditions")
     n = P.n

@@ -153,21 +153,8 @@ class BitMatrix:
     def to_lists(self) -> list[list[int]]:
         return [[(w >> (self.cols - 1 - j)) & 1 for j in range(self.cols)] for w in self.words]
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
-
-    def is_permutation(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        seen = 0
-        for w in self.words:
-            if w.bit_count() != 1:
-                return False
-            seen |= w
-        return seen == (1 << self.cols) - 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"BitMatrix({self.to_text()!r})"

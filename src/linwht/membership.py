@@ -19,11 +19,13 @@ matrices, which is O(n^3) operations on n-bit row words.
 
 One structural pass, ``_structure``, forms the prefix products
 P_{0:k} (``_prefix_products`` is the only such fold), X, its rank,
-X * X^T, the suffix rows, one inversion and M * X = I, and hands all of
-it back: ``check_membership`` keeps the report, ``factorize`` takes
-B = X and B^{-1} = M from it, and ``predict_plus_set`` takes P_{0:n}
-and X.  ``check_corner_condition`` shares the folds and the suffix-row
-loop but computes its own u/v parities.
+X * X^T, M (the claimed rows of X^{-1}, from the suffix rows and the
+one inversion in ``_claimed_rows``) and M * X = I, and hands all of it
+back: ``check_membership`` keeps the report, ``factorize`` takes B = X
+and B^{-1} = M, and ``predict_plus_set`` takes P_{0:n} and X * X^T.
+The paper's corner condition is the inverse condition: counted from 0,
+corner(P_{k:l}) = (M X)[n-k][n-1-l] and corner(P_{k:l}^{-1}) =
+(M X)[n-1-l][n-k], which covers each off-diagonal entry of M * X once.
 """
 
 from __future__ import annotations
@@ -89,15 +91,18 @@ def _spreading(prefix: Sequence[BitMatrix], n: int) -> tuple[BitMatrix, BitMatri
     return xt.transpose(), xt
 
 
-def _suffix_rows(P: AlgorithmSeq, lo: int) -> list[int]:
-    """Bottom rows of P_{j+1:n-1} for j = n-1 down to lo (e^T first),
-    from suffix products accumulated right to left."""
+def _claimed_rows(P: AlgorithmSeq, prefix: Sequence[BitMatrix]) -> BitMatrix:
+    """M, whose row k (from 1) is the bottom row of P_{0:n-k}^{-1}, from
+    suffix products accumulated right to left and one inversion of
+    P_{0:n-1} = prefix[n-1] (see ``check_membership``)."""
+    n = P.n
+    f = prefix[n - 1].inverse()
     rows = [1]
     suffix = None
-    for j in range(P.n - 1, lo, -1):
+    for j in range(n - 1, 0, -1):
         suffix = P[j] if suffix is None else P[j] @ suffix
         rows.append(suffix.words[-1])
-    return rows
+    return BitMatrix(n, n, tuple(f.left_apply(w) for w in rows))
 
 
 def spreading_matrix(P: AlgorithmSeq) -> BitMatrix:
@@ -112,24 +117,24 @@ def _first_mismatch(a: BitMatrix, b: BitMatrix) -> Optional[int]:
 
 def _structure(
     P: AlgorithmSeq,
-) -> tuple[CheckReport, list[BitMatrix], BitMatrix, Optional[BitMatrix]]:
+) -> tuple[CheckReport, list[BitMatrix], BitMatrix, BitMatrix, Optional[BitMatrix]]:
     """The one structural pass behind ``check_membership``.
 
-    Returns the report, the prefix products P_{0:0}, ..., P_{0:n}, X and
-    M, the matrix of claimed rows of X^{-1} (None when X is singular).
-    M = X^{-1} exactly when the inverse condition holds.
+    Returns the report, the prefix products P_{0:0}, ..., P_{0:n}, X,
+    X * X^T and M, the matrix of claimed rows of X^{-1} (None when X is
+    singular).  M = X^{-1} exactly when the inverse condition holds.
     """
     n = P.n
     prefix = _prefix_products(P.matrices)
     x, xt = _spreading(prefix, n)
+    gram = x @ xt
     rank_x = x.rank()
     x_invertible = rank_x == n
-    bad_product = _first_mismatch(prefix[n], x @ xt)
+    bad_product = _first_mismatch(prefix[n], gram)
 
     m = bad_inverse = None
     if x_invertible:
-        f = prefix[n - 1].inverse()
-        m = BitMatrix(n, n, tuple(f.left_apply(w) for w in _suffix_rows(P, 0)))
+        m = _claimed_rows(P, prefix)
         bad_inverse = _first_mismatch(m @ x, identity(n))
 
     cond_product = bad_product is None
@@ -147,7 +152,7 @@ def _structure(
             f" is not the bottom row of P_0:{n - bad_inverse}^-1"
         )
     report = CheckReport(passed, x_invertible, cond_product, cond_inverse, witness)
-    return report, prefix, x, m
+    return report, prefix, x, gram, m
 
 
 def check_membership(P: AlgorithmSeq) -> CheckReport:
@@ -172,39 +177,35 @@ def check_corner_condition(P: AlgorithmSeq) -> bool:
     """No central product P_{k:l} (0 < k <= l < n), nor its inverse, has
     a 1 in its bottom-right corner.
 
-    Equivalent to the inverse condition of ``check_membership``, and to
-    the computed matrix having an all-ones first row and first column.
+    With M and X as in ``check_membership``, entry (r, c) of M * X,
+    counted from 0, is e^T P_{0:n-1-r}^{-1} P_{0:n-1-c} e: 1 on the
+    diagonal, the corner of P_{n-r:n-1-c} below it and the corner of
+    P_{n-c:n-1-r}^{-1} above it.  So
 
-    With e the last basis vector, v_k = P_{1:k-1}*e (v_1 = e) and
-    u_l = e^T * P_{1:l}^{-1} (u_0 = e^T), the corners are
+        corner(P_{k:l})      = (M X)[n-k][n-1-l]
+        corner(P_{k:l}^{-1}) = (M X)[n-1-l][n-k],
 
-        corner(P_{k:l})      = <u_{k-1}, v_{l+1}>
-        corner(P_{k:l}^{-1}) = <u_l, v_k>,
-
-    and u_l = (bottom row of P_{l+1:n-1}) * P_{1:n-1}^{-1}.  One
-    inversion, n prefix and n suffix products give every u and v, and
-    the corners are O(n^2) parities; X is never formed.
+    the pairs cover every off-diagonal entry once, and the condition is
+    exactly M * X = I: the inverse condition, which is what this
+    returns.  It is also equivalent to the computed matrix having an
+    all-ones first row and first column.
     """
-    return _corner_witness(P) is None
+    return check_membership(P).cond_inverse
 
 
 def _corner_witness(P: AlgorithmSeq) -> Optional[tuple[int, int, bool]]:
     """The first (k, l), by ascending k and then l, whose corner is set,
     with True when it is the corner of P_{k:l}^{-1}; None when the
-    condition holds."""
+    condition holds.  Reads the corners off M * X, which is formed here
+    even when X is singular."""
     n = P.n
-    if n == 1:
-        return None
-    # prefix[k - 2] = P_{1:k-1}, so v[k] = P_{1:k-1} e for k = 2..n
-    prefix = _prefix_products(P.matrices[1:n])
-    v = [0, 1] + [p.apply(1) for p in prefix]
-    f = prefix[-1].inverse()
-    u = [1] + [f.left_apply(w) for w in reversed(_suffix_rows(P, 1))]
+    prefix = _prefix_products(P.matrices[:-1])
+    mx = _claimed_rows(P, prefix) @ _spreading(prefix, n)[0]
     for k in range(1, n):
         for l in range(k, n):
-            if parity(u[k - 1] & v[l + 1]):
+            if mx.words[n - k] >> l & 1:
                 return k, l, False
-            if parity(u[l] & v[k]):
+            if mx.words[n - 1 - l] >> (k - 1) & 1:
                 return k, l, True
     return None
 
@@ -222,11 +223,10 @@ def predict_plus_set(P: AlgorithmSeq, i: int) -> frozenset[int]:
     if not 0 <= i < 1 << n:
         raise ValueError(f"input index {i} outside 0..{(1 << n) - 1}")
     _guard(n)
-    report, prefix, x, _ = _structure(P)
+    report, prefix, _, gram, _ = _structure(P)
     if not report.cond_inverse:
         raise ConditionError("plus-set prediction needs the corner condition to hold")
-    gram_inv = (x @ x.transpose()).inverse()
-    u = gram_inv.apply(prefix[n].apply(i))
+    u = gram.inverse().apply(prefix[n].apply(i))
     return frozenset(j for j in range(1 << n) if parity(u & j) == 0)
 
 

@@ -123,6 +123,12 @@ def naive_corner_witness(P: AlgorithmSeq):
     return None
 
 
+def naive_is_permutation(m: BitMatrix) -> bool:
+    """Square, with exactly one 1 in every row and every column."""
+    rows = m.to_lists()
+    return m.rows == m.cols and all(sum(line) == 1 for line in rows + [list(c) for c in zip(*rows)])
+
+
 def naive_prefix_products(P: AlgorithmSeq) -> list[list[list[int]]]:
     """P_{0:0}, P_{0:1}, ..., P_{0:n}, each multiplied entry by entry."""
     out = [P[0].to_lists()]

@@ -101,6 +101,29 @@ def test_check_missing_file(capsys):
     assert code == 2 and "error:" in err
 
 
+PYPROJECT = str(Path(__file__).parent.parent / "pyproject.toml")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", fixture("pease2.alg"), "no_such_file.alg"),
+        ("check", fixture("pease2.alg"), PYPROJECT),
+        ("check", "-", "-"),
+        ("check", "--oracle", fixture("pease2.alg"), fixture("break_product_n3.alg")),
+    ],
+    ids=["missing", "unparsable", "stdin-twice", "oracle-too-big"],
+)
+def test_check_bad_later_input_prints_no_verdict(capsys, monkeypatch, argv):
+    """A bad second input exits 2 before the first file's verdict is printed."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO("n=1; 1; 1\n"))
+    monkeypatch.setenv("WHT_MAX_N", "2")  # the n=3 fixture is past the oracle limit
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_count_output(capsys):
     code, out, _ = run_cli(capsys, "count", "-n", "4")
     assert code == 0

@@ -15,7 +15,7 @@ from linwht.groups import (
     random_invertible,
 )
 
-from helpers import brute_gl
+from helpers import brute_gl, naive_is_permutation
 
 
 def test_count_gl_values():
@@ -46,7 +46,7 @@ def test_enumerate_perm():
     perms = list(enumerate_perm(3))
     assert len(perms) == 6
     assert perms[0] == identity(3)
-    assert all(p.is_permutation() for p in perms)
+    assert all(naive_is_permutation(p) for p in perms)
     assert len({p.words for p in perms}) == 6
 
 

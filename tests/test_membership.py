@@ -184,8 +184,9 @@ CORNER_KINDS = ("member", "twisted", "random", "singular")
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 8), st.sampled_from(CORNER_KINDS), st.integers(0, 2**30))
 def test_corner_condition_against_naive(n, kind, seed):
-    """The u/v parities against every central product and its inverse,
-    formed entry by entry."""
+    """The paper's equivalence of the corner condition and the inverse
+    condition: ``check_corner_condition`` (the inverse condition, M*X = I)
+    against every central product and its inverse, formed entry by entry."""
     if n == 1 and kind in ("twisted", "singular"):
         kind = "member"
     P = _corner_draw(n, kind, random.Random(seed))
@@ -213,8 +214,8 @@ def test_corner_condition_against_naive_sweep():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 6), st.sampled_from(("random", "singular")), st.integers(0, 2**30))
 def test_corner_witness_against_naive(n, kind, seed):
-    """The first failing pair (k, l) read from the u/v parities is the
-    first one a naive search over every central product finds."""
+    """The first failing pair (k, l) read off M*X is the first one a
+    naive search over every central product finds."""
     P = _corner_draw(n, kind, random.Random(seed))
     bad = _corner_witness(P)
     assert bad == naive_corner_witness(P)
@@ -292,15 +293,16 @@ SHARED_KINDS = ("member", "twisted", "random", "singular")
 @given(st.integers(1, 10), st.sampled_from(SHARED_KINDS), st.integers(0, 2**30))
 def test_shared_pass_against_naive(n, kind, seed):
     """The one structural pass returns the naive prefix products, the
-    naive spreading matrix and, when the inverse condition holds, the
+    naive spreading matrix, X*X^T and, when the inverse condition holds, the
     naive inverse of X as M."""
     if n == 1:
         kind = "member"
     P = _corner_draw(n, kind, random.Random(seed))
-    report, prefix, x, m = _structure(P)
+    report, prefix, x, gram, m = _structure(P)
     assert [q.to_lists() for q in prefix] == naive_prefix_products(P)
     assert x.to_lists() == naive_spreading(P)
     assert x == spreading_matrix(P)
+    assert gram.to_lists() == naive_mul(x.to_lists(), [list(col) for col in zip(*x.to_lists())])
     if report.cond_inverse:
         assert m.to_lists() == naive_inverse(x.to_lists())
     if not report.x_invertible:
