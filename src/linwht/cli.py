@@ -47,10 +47,13 @@ from .textio import (
 __all__ = ["main"]
 
 
-def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+def _load(path: str, parse=parse_document):
+    """``parse`` of the file's text (``-`` reads stdin); a parse or
+    validation error names the file."""
+    try:
+        return parse(sys.stdin.read() if path == "-" else Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _check_size(n: int) -> int:
@@ -77,7 +80,7 @@ def _cmd_check(args) -> int:
     mode = "oracle" if args.oracle else "corners" if args.corners else "fast"
     # every file is read, parsed and checked before the first verdict is
     # printed, so a bad input exits 2 with nothing on stdout
-    seqs = [parse_document(_read(path)).seq for path in args.files]
+    seqs = [_load(path).seq for path in args.files]
     verdicts = [_check_one(P, mode) for P in seqs]
     for path, (ok, reason) in zip(args.files, verdicts):
         print(f"PASS {mode} {path}" if ok else f"FAIL {mode} {path}: {reason}")
@@ -132,13 +135,13 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
-    P = parse_document(_read(args.file)).seq
+    P = _load(args.file).seq
     print(format_factors(factorize(P)))
     return 0
 
 
 def _cmd_build(args) -> int:
-    f = parse_factors(_read(args.file))
+    f = _load(args.file, parse_factors)
     print(format_sequence(build(f)))
     return 0
 
@@ -152,7 +155,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    P = parse_document(_read(args.file)).seq
+    P = _load(args.file).seq
     text = export_dot(P)
     if args.output:
         Path(args.output).write_text(text)

@@ -5,12 +5,18 @@ GL_{n-1}, via (with C the downward index rotation and D_i the bordered
 matrix diag(Q_i, 1)):
 
     P_0 = B * D_1
-    P_i = D_i^{-1} * C * D_{i+1}      for 0 < i < n
-    P_n = D_n^{-1} * C * B^T
+    P_i = D_i^{-1} * C * D_{i+1}      for 0 < i <= n, with D_{n+1} = B^T
 
-``factorize`` inverts the construction; B comes back as the spreading
-matrix of the sequence.  The map is injective, so member counts equal
-parameter counts: |GL_n| * |GL_{n-1}|^n.
+C only permutes rows: C * D is D with its rows moved up one place,
+cyclically, so ``build`` forms one product per stage.  ``factorize``
+inverts the construction; B comes back as the spreading matrix X of the
+sequence, and since P_{0:i} = B * C^i * D_{i+1},
+
+    D_{i+1} = C^{-i} * X^{-1} * P_{0:i},
+
+one product with the structural pass's prefix product per stage.  The
+map is injective, so member counts equal parameter counts:
+|GL_n| * |GL_{n-1}|^n.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .algorithm import AlgorithmSeq
 from .config import BIT_INDEX_ENUM_MAX, MEMBER_ENUM_MAX, N_MAX
-from .gf2 import BitMatrix, DimensionError, SingularError, rotation_matrix
+from .gf2 import BitMatrix, DimensionError, SingularError
 from .groups import enumerate_gl, enumerate_perm, random_invertible
 from .membership import NotMemberError, _structure, check_membership
 from .oracle import evaluate, hadamard
@@ -80,37 +86,32 @@ def _unbordered(m: BitMatrix) -> BitMatrix:
     return BitMatrix(n - 1, n - 1, tuple(w >> 1 for w in m.words[:-1]))
 
 
+def _shift_rows(m: BitMatrix, k: int) -> BitMatrix:
+    """C^k * m: the rows of m moved up k places, cyclically."""
+    k %= m.rows
+    return BitMatrix(m.rows, m.cols, m.words[k:] + m.words[:k])
+
+
 def build(f: FactorTuple) -> AlgorithmSeq:
-    n = f.n
-    c = rotation_matrix(n)
-    d = [_bordered(q) for q in f.qs]
-    d_inv = [_bordered(q.inverse()) for q in f.qs]
+    d = [_bordered(q) for q in f.qs] + [f.b.transpose()]
     mats = [f.b @ d[0]]
-    for i in range(1, n):
-        mats.append(d_inv[i - 1] @ c @ d[i])
-    mats.append(d_inv[n - 1] @ c @ f.b.transpose())
+    for q, d_next in zip(f.qs, d[1:]):
+        mats.append(_bordered(q.inverse()) @ _shift_rows(d_next, 1))
     return AlgorithmSeq(tuple(mats))
 
 
 def factorize(P: AlgorithmSeq) -> FactorTuple:
     """Recover the (B, Q_1..Q_n) coordinates of a member.
 
-    B is the spreading matrix X and B^{-1} the matrix M of the same
-    structural pass as ``check_membership``, which equals X^{-1} on a
-    member.  Raises NotMemberError when the sequence fails that check.
+    One structural pass, the same as ``check_membership``, gives B = X,
+    M = X^{-1} and the prefix products; D_{i+1} = C^{-i} * M * P_{0:i}.
+    Raises NotMemberError when the sequence fails that check.
     """
-    report, _, b, _, b_inv = _structure(P)
+    report, prefix, b, _, m = _structure(P)
     if not report.passed:
         raise NotMemberError(report.witness or "sequence fails the membership conditions")
-    n = P.n
-    c_t = rotation_matrix(n).transpose()
-    qs = []
-    tilde = b_inv @ P[0]
-    qs.append(_unbordered(tilde))
-    for i in range(1, n):
-        tilde = c_t @ tilde @ P[i]
-        qs.append(_unbordered(tilde))
-    return FactorTuple(b, tuple(qs))
+    qs = tuple(_unbordered(_shift_rows(m @ prefix[i], -i)) for i in range(P.n))
+    return FactorTuple(b, qs)
 
 
 def sample_member(n: int, seed: Optional[int] = None) -> AlgorithmSeq:

@@ -21,8 +21,8 @@ One structural pass, ``_structure``, forms the prefix products
 P_{0:k} (``_prefix_products`` is the only such fold), X, its rank,
 X * X^T, M (the claimed rows of X^{-1}, from the suffix rows and the
 one inversion in ``_claimed_rows``) and M * X = I, and hands all of it
-back: ``check_membership`` keeps the report, ``factorize`` takes B = X
-and B^{-1} = M, and ``predict_plus_set`` takes P_{0:n} and X * X^T.
+back: ``check_membership`` keeps the report, ``factorize`` takes B = X,
+M and the prefix products, and ``predict_plus_set`` P_{0:n} and X * X^T.
 The paper's corner condition is the inverse condition: counted from 0,
 corner(P_{k:l}) = (M X)[n-k][n-1-l] and corner(P_{k:l}^{-1}) =
 (M X)[n-1-l][n-k], which covers each off-diagonal entry of M * X once.

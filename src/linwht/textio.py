@@ -56,10 +56,9 @@ class _Scanner:
     """Tokens by compiled regexes; line and column are derived from
     ``pos`` only when an error is raised."""
 
-    def __init__(self, text: str, start_line: int = 1):
+    def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.start_line = start_line
 
     def skip_space(self) -> None:
         self.pos = _SPACE.match(self.text, self.pos).end()
@@ -73,7 +72,7 @@ class _Scanner:
         return self.text[self.pos : self.pos + 1]
 
     def error(self, message: str, pos: int) -> ParseError:
-        line = self.start_line + self.text.count("\n", 0, pos)
+        line = 1 + self.text.count("\n", 0, pos)
         return ParseError(message, line, pos - self.text.rfind("\n", 0, pos))
 
     def fail(self, message: str) -> ParseError:
@@ -125,8 +124,8 @@ class _Scanner:
             raise self.fail(f"unexpected trailing input after {expected}")
 
 
-def parse_sequence(text: str, start_line: int = 1) -> AlgorithmSeq:
-    sc = _Scanner(text, start_line)
+def parse_sequence(text: str) -> AlgorithmSeq:
+    sc = _Scanner(text)
     n = sc.header()
     mats = [sc.matrix(n, n, "matrix 0")]
     for k in range(1, n + 1):
@@ -150,23 +149,16 @@ class AlgorithmDocument:
 
 
 def parse_document(text: str) -> AlgorithmDocument:
-    """Sequence file with a leading ``# key: value`` metadata block."""
-    lines = text.split("\n")
+    """Sequence file with a leading ``# key: value`` metadata block; the
+    scanner skips that block as comments, so error lines count from the top."""
     metadata: dict[str, str] = {}
-    consumed = 0
-    for raw in lines:
+    for raw in text.split("\n"):
         stripped = raw.strip()
-        if not stripped:
-            consumed += 1
-            continue
-        if not stripped.startswith("#"):
+        if stripped and not stripped.startswith("#"):
             break
-        m = _META_LINE.match(stripped)
-        if m:
+        if m := _META_LINE.match(stripped):
             metadata[m.group(1)] = m.group(2)
-        consumed += 1
-    body = "\n".join(lines[consumed:])
-    return AlgorithmDocument(parse_sequence(body, start_line=consumed + 1), metadata)
+    return AlgorithmDocument(parse_sequence(text), metadata)
 
 
 def format_document(doc: AlgorithmDocument) -> str:

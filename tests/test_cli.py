@@ -124,6 +124,21 @@ def test_check_bad_later_input_prints_no_verdict(capsys, monkeypatch, argv):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv,stdin,named",
+    [
+        (("check", fixture("pease2.alg"), PYPROJECT), "", PYPROJECT),
+        (("check", fixture("pease2.alg"), "-"), "n=2; 11/11; 10/01; 10/01\n", "-"),
+    ],
+    ids=["unparsable", "singular-stdin"],
+)
+def test_check_error_names_the_file(capsys, monkeypatch, argv, stdin, named):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {named}: ")
+
+
 def test_count_output(capsys):
     code, out, _ = run_cli(capsys, "count", "-n", "4")
     assert code == 0
@@ -185,6 +200,27 @@ def test_count_table_script_past_int_str_limit():
     last = proc.stdout.splitlines()[-1].split()
     assert last[0] == "30"
     _assert_exact(last[2], count_algorithms(30))
+
+
+@pytest.mark.parametrize(
+    "argv,first",
+    [
+        (("run_census.py", "2"), "n=2  raw=6  distinct=6  verified=6  ("),
+        (("print_count_table.py", "--max-n", "4"), "  n                 |GL_n|"),
+        (("find_counterexamples.py", "--n", "2", "--budget", "2000"), "# found-by: "),
+    ],
+    ids=["run_census", "print_count_table", "find_counterexamples"],
+)
+def test_scripts_run(argv, first):
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].startswith(first)
 
 
 def test_enumerate_n2_table(capsys):

@@ -17,6 +17,7 @@ from linwht import (
     factorize,
     hadamard,
     identity,
+    iterative_ct,
     is_member,
     pease,
     sample_member,
@@ -105,6 +106,15 @@ def test_factorize_build_round_trip(n, seed):
 def test_build_factorize_round_trip(n, seed):
     P = sample_member(n, seed)
     assert build(factorize(P)).key() == P.key()
+
+
+@pytest.mark.parametrize("n", [31, 32, 33, 64])
+def test_round_trips_across_vector_product_threshold(n):
+    """Stage products switch to numpy at gf2._VECTOR_MIN_DIM = 32."""
+    for P in (sample_member(n, n), pease(n), iterative_ct(n)):
+        assert build(factorize(P)).key() == P.key()
+    f = random_factors(n, n)
+    assert factorize(build(f)) == f
 
 
 def test_factorize_rejects_non_members():

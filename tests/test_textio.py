@@ -68,6 +68,10 @@ def test_parse_error_positions():
         # an error in the body of a document with a metadata header
         (parse_document, "# name: x\n# seed: 1\n\nn=2; 10/01;\n01/10; 01/1x\n", 5, 12),
         (parse_document, "# name: x\n\n# seed: 2\nn=70; 1", 4, 3),
+        # an empty, blank or header-only document ends on its own last line
+        (parse_document, "", 1, 1),
+        (parse_document, "\n", 2, 1),
+        (parse_document, "# a: b\n", 2, 1),
         # a wrong row width at the end of input
         (parse_sequence, "n=2;\n10/01;\n01/10;\n01/1", 4, 5),
         # a stray character after the last matrix
