@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -29,8 +30,7 @@ from .groups import (
 from .membership import (
     NotMemberError,
     _corner_witness,
-    _prefix_products,
-    _spreading,
+    _structure,
     check_membership,
 )
 from .oracle import evaluate, hadamard
@@ -47,13 +47,19 @@ from .textio import (
 __all__ = ["main"]
 
 
-def _load(path: str, parse=parse_document):
-    """``parse`` of the file's text (``-`` reads stdin); a parse or
-    validation error names the file."""
+@contextmanager
+def _naming(path: str):
+    """A parse, validation or size error raised inside names the file."""
     try:
-        return parse(sys.stdin.read() if path == "-" else Path(path).read_text())
+        yield
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+
+
+def _load(path: str, parse=parse_document):
+    """``parse`` of the file's text (``-`` reads stdin)."""
+    with _naming(path):
+        return parse(sys.stdin.read() if path == "-" else Path(path).read_text())
 
 
 def _check_size(n: int) -> int:
@@ -81,7 +87,10 @@ def _cmd_check(args) -> int:
     # every file is read, parsed and checked before the first verdict is
     # printed, so a bad input exits 2 with nothing on stdout
     seqs = [_load(path).seq for path in args.files]
-    verdicts = [_check_one(P, mode) for P in seqs]
+    verdicts = []
+    for path, P in zip(args.files, seqs):
+        with _naming(path):
+            verdicts.append(_check_one(P, mode))
     for path, (ok, reason) in zip(args.files, verdicts):
         print(f"PASS {mode} {path}" if ok else f"FAIL {mode} {path}: {reason}")
     return 0 if all(ok for ok, _ in verdicts) else 1
@@ -100,8 +109,7 @@ def _format_row(P: AlgorithmSeq, table: bool) -> str:
     if not table:
         return format_sequence(P)
     mats = "; ".join(m.to_text() for m in P)
-    prefix = _prefix_products(P.matrices)
-    x = _spreading(prefix, P.n)[0]
+    _, prefix, x, _, _ = _structure(P)
     return f"{mats} | product {prefix[-1].to_text()} | X {x.to_text()}"
 
 

@@ -187,16 +187,6 @@ class BitMatrix:
             out = (out << 1) | ((w & v).bit_count() & 1)
         return out
 
-    def left_apply(self, u: int) -> int:
-        """Packed row vector times matrix: XORs the rows selected by u."""
-        acc = 0
-        top = self.rows - 1
-        while u:
-            p = u.bit_length() - 1
-            acc ^= self.words[top - p]
-            u ^= 1 << p
-        return acc
-
     def rank(self) -> int:
         if not self.rows or not self.cols:
             return 0

@@ -17,12 +17,13 @@ out witnesses for both gaps.  Everything here runs on n x n bit
 matrices only, never on 2^n-sized objects: O(n) products of n x n
 matrices, which is O(n^3) operations on n-bit row words.
 
-One structural pass, ``_structure``, forms the prefix products
-P_{0:k} (``_prefix_products`` is the only such fold), X, its rank,
-X * X^T, M (the claimed rows of X^{-1}, from the suffix rows and the
-one inversion in ``_claimed_rows``) and M * X = I, and hands all of it
-back: ``check_membership`` keeps the report, ``factorize`` takes B = X,
-M and the prefix products, and ``predict_plus_set`` P_{0:n} and X * X^T.
+One structural pass, ``_structure``, is the only code that forms the
+prefix products P_{0:k} and X.  It also forms X's rank, X * X^T, M (the
+claimed rows of X^{-1}, one product in ``_claimed_rows``) and M * X = I,
+and hands all of it back: ``check_membership`` keeps the report,
+``spreading_matrix`` X, ``factorize`` B = X, M and the prefix products,
+``predict_plus_set`` P_{0:n} and X * X^T, ``_corner_witness`` the prefix
+products, X and M, and the CLI's table rows P_{0:n} and X.
 The paper's corner condition is the inverse condition: counted from 0,
 corner(P_{k:l}) = (M X)[n-k][n-1-l] and corner(P_{k:l}^{-1}) =
 (M X)[n-1-l][n-k], which covers each off-diagonal entry of M * X once.
@@ -75,39 +76,24 @@ class CheckReport:
             raise ValueError("inconsistent report: inverse condition needs invertible X")
 
 
-def _prefix_products(mats: Sequence[BitMatrix]) -> list[BitMatrix]:
-    """Running products mats[0], mats[0]*mats[1], ..., of the whole list."""
-    prefix = [mats[0]]
-    for m in mats[1:]:
-        prefix.append(prefix[-1] @ m)
-    return prefix
-
-
-def _spreading(prefix: Sequence[BitMatrix], n: int) -> tuple[BitMatrix, BitMatrix]:
-    """X and X^T from the prefix products P_{0:0}, ..., P_{0:n-1}.
-
-    The rows of X^T are the columns of X, so it is built directly."""
-    xt = BitMatrix(n, n, tuple(prefix[j].apply(1) for j in range(n - 1, -1, -1)))
-    return xt.transpose(), xt
-
-
 def _claimed_rows(P: AlgorithmSeq, prefix: Sequence[BitMatrix]) -> BitMatrix:
-    """M, whose row k (from 1) is the bottom row of P_{0:n-k}^{-1}, from
-    suffix products accumulated right to left and one inversion of
-    P_{0:n-1} = prefix[n-1] (see ``check_membership``)."""
+    """M, whose row k (from 1) is the bottom row of P_{0:n-k}^{-1}, as
+    the one product R * P_{0:n-1}^{-1}: row k of R is the bottom row of
+    the suffix product P_{n-k+1:n-1} (e for k = 1), accumulated right to
+    left, and prefix[n-1] = P_{0:n-1} (see ``check_membership``)."""
     n = P.n
-    f = prefix[n - 1].inverse()
     rows = [1]
     suffix = None
     for j in range(n - 1, 0, -1):
         suffix = P[j] if suffix is None else P[j] @ suffix
         rows.append(suffix.words[-1])
-    return BitMatrix(n, n, tuple(f.left_apply(w) for w in rows))
+    return BitMatrix(n, n, tuple(rows)) @ prefix[n - 1].inverse()
 
 
 def spreading_matrix(P: AlgorithmSeq) -> BitMatrix:
-    """Columns P_{0:n-1}*e, ..., P_0*e for e = (0,...,0,1)^T."""
-    return _spreading(_prefix_products(P.matrices[:-1]), P.n)[0]
+    """Columns P_{0:n-1}*e, ..., P_0*e for e = (0,...,0,1)^T, read off
+    the structural pass."""
+    return _structure(P)[2]
 
 
 def _first_mismatch(a: BitMatrix, b: BitMatrix) -> Optional[int]:
@@ -125,8 +111,12 @@ def _structure(
     singular).  M = X^{-1} exactly when the inverse condition holds.
     """
     n = P.n
-    prefix = _prefix_products(P.matrices)
-    x, xt = _spreading(prefix, n)
+    prefix = [P[0]]
+    for q in P.matrices[1:]:
+        prefix.append(prefix[-1] @ q)
+    # the rows of X^T are the columns of X, so it is built directly
+    xt = BitMatrix(n, n, tuple(prefix[j].apply(1) for j in range(n - 1, -1, -1)))
+    x = xt.transpose()
     gram = x @ xt
     rank_x = x.rank()
     x_invertible = rank_x == n
@@ -196,11 +186,11 @@ def check_corner_condition(P: AlgorithmSeq) -> bool:
 def _corner_witness(P: AlgorithmSeq) -> Optional[tuple[int, int, bool]]:
     """The first (k, l), by ascending k and then l, whose corner is set,
     with True when it is the corner of P_{k:l}^{-1}; None when the
-    condition holds.  Reads the corners off M * X, which is formed here
-    even when X is singular."""
+    condition holds.  Reads the corners off M * X; the structural pass
+    skips M when X is singular, so it is formed here then."""
     n = P.n
-    prefix = _prefix_products(P.matrices[:-1])
-    mx = _claimed_rows(P, prefix) @ _spreading(prefix, n)[0]
+    _, prefix, x, _, m = _structure(P)
+    mx = (_claimed_rows(P, prefix) if m is None else m) @ x
     for k in range(1, n):
         for l in range(k, n):
             if mx.words[n - k] >> l & 1:

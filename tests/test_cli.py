@@ -129,11 +129,17 @@ def test_check_bad_later_input_prints_no_verdict(capsys, monkeypatch, argv):
     [
         (("check", fixture("pease2.alg"), PYPROJECT), "", PYPROJECT),
         (("check", fixture("pease2.alg"), "-"), "n=2; 11/11; 10/01; 10/01\n", "-"),
+        (
+            ("check", "--oracle", fixture("pease2.alg"), fixture("break_product_n3.alg")),
+            "",
+            fixture("break_product_n3.alg"),
+        ),
     ],
-    ids=["unparsable", "singular-stdin"],
+    ids=["unparsable", "singular-stdin", "oracle-too-big"],
 )
 def test_check_error_names_the_file(capsys, monkeypatch, argv, stdin, named):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    monkeypatch.setenv("WHT_MAX_N", "2")  # the n=3 fixture is past the oracle limit
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {named}: ")

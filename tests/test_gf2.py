@@ -128,12 +128,6 @@ def test_apply_matches_entry_arithmetic(m, v):
         assert (got >> (m.rows - 1 - i)) & 1 == expected
 
 
-@given(square_matrices(), st.integers(0, 63))
-def test_left_apply_is_transpose_apply(m, u):
-    u &= (1 << m.rows) - 1
-    assert m.left_apply(u) == m.transpose().apply(u)
-
-
 def test_vectorized_matmul_agrees_with_int_path():
     rng = random.Random(5)
     for n in (32, 48, 64):

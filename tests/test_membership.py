@@ -3,7 +3,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linwht import (
@@ -291,18 +291,30 @@ SHARED_KINDS = ("member", "twisted", "random", "singular")
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 10), st.sampled_from(SHARED_KINDS), st.integers(0, 2**30))
+# n = 33 puts M's product on gf2's vectorised path (_VECTOR_MIN_DIM = 32);
+# random seed 3 draws an invertible X that fails the inverse condition
+@example(33, "member", 1)
+@example(33, "twisted", 2)
+@example(33, "random", 3)
+@example(33, "singular", 4)
 def test_shared_pass_against_naive(n, kind, seed):
     """The one structural pass returns the naive prefix products, the
-    naive spreading matrix, X*X^T and, when the inverse condition holds, the
-    naive inverse of X as M."""
+    naive spreading matrix, X*X^T and, whenever X is invertible, M with row
+    k the bottom row of the naive inverse of P_{0:n-k}; M is the naive
+    inverse of X when the inverse condition holds."""
     if n == 1:
         kind = "member"
     P = _corner_draw(n, kind, random.Random(seed))
     report, prefix, x, gram, m = _structure(P)
-    assert [q.to_lists() for q in prefix] == naive_prefix_products(P)
+    naive_prefix = naive_prefix_products(P)
+    assert [q.to_lists() for q in prefix] == naive_prefix
     assert x.to_lists() == naive_spreading(P)
     assert x == spreading_matrix(P)
     assert gram.to_lists() == naive_mul(x.to_lists(), [list(col) for col in zip(*x.to_lists())])
+    if report.x_invertible:
+        rows = m.to_lists()
+        for k in range(1, n + 1):
+            assert rows[k - 1] == naive_inverse(naive_prefix[n - k])[n - 1]
     if report.cond_inverse:
         assert m.to_lists() == naive_inverse(x.to_lists())
     if not report.x_invertible:

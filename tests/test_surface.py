@@ -30,8 +30,8 @@ PUBLIC = frozenset(
 # BitMatrix's public methods; adding or removing one is a surface change too.
 BITMATRIX_PUBLIC = frozenset(
     {
-        "apply", "from_text", "inverse", "is_invertible", "left_apply", "rank", "to_lists",
-        "to_text", "transpose",
+        "apply", "from_text", "inverse", "is_invertible", "rank", "to_lists", "to_text",
+        "transpose",
     }
 )
 
