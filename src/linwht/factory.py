@@ -104,13 +104,13 @@ def factorize(P: AlgorithmSeq) -> FactorTuple:
     """Recover the (B, Q_1..Q_n) coordinates of a member.
 
     One structural pass, the same as ``check_membership``, gives B = X,
-    M = X^{-1} and the prefix products; D_{i+1} = C^{-i} * M * P_{0:i}.
+    X^{-1} and the prefix products; D_{i+1} = C^{-i} * X^{-1} * P_{0:i}.
     Raises NotMemberError when the sequence fails that check.
     """
-    report, prefix, b, _, m = _structure(P)
+    report, prefix, b, _, b_inv = _structure(P)
     if not report.passed:
         raise NotMemberError(report.witness or "sequence fails the membership conditions")
-    qs = tuple(_unbordered(_shift_rows(m @ prefix[i], -i)) for i in range(P.n))
+    qs = tuple(_unbordered(_shift_rows(b_inv @ prefix[i], -i)) for i in range(P.n))
     return FactorTuple(b, qs)
 
 

@@ -18,15 +18,15 @@ matrices only, never on 2^n-sized objects: O(n) products of n x n
 matrices, which is O(n^3) operations on n-bit row words.
 
 One structural pass, ``_structure``, is the only code that forms the
-prefix products P_{0:k} and X.  It also forms X's rank, X * X^T, M (the
-claimed rows of X^{-1}, one product in ``_claimed_rows``) and M * X = I,
-and hands all of it back: ``check_membership`` keeps the report,
-``spreading_matrix`` X, ``factorize`` B = X, M and the prefix products,
-``predict_plus_set`` P_{0:n} and X * X^T, ``_corner_witness`` the prefix
-products, X and M, and the CLI's table rows P_{0:n} and X.
-The paper's corner condition is the inverse condition: counted from 0,
-corner(P_{k:l}) = (M X)[n-k][n-1-l] and corner(P_{k:l}^{-1}) =
-(M X)[n-1-l][n-k], which covers each off-diagonal entry of M * X once.
+prefix products P_{0:k} and X.  It also forms X's rank, X * X^T and
+X^{-1}, tests the inverse condition row by row, and hands all of it
+back: ``check_membership`` keeps the report, ``spreading_matrix`` X,
+``factorize`` B = X, X^{-1} and the prefix products,
+``predict_plus_set`` P_{0:n} and X * X^T, ``_corner_witness`` the
+prefix products and X, and the CLI's table rows P_{0:n} and X.  The
+paper's corner condition is the inverse condition read as M * X = I,
+where M stacks the claimed rows of X^{-1} (see
+``check_corner_condition``); M is formed only to name a set corner.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .algorithm import AlgorithmSeq
-from .gf2 import BitMatrix, identity, parity
+from .gf2 import BitMatrix, parity
 from .groups import random_invertible
 from .oracle import _guard
 
@@ -80,7 +80,8 @@ def _claimed_rows(P: AlgorithmSeq, prefix: Sequence[BitMatrix]) -> BitMatrix:
     """M, whose row k (from 1) is the bottom row of P_{0:n-k}^{-1}, as
     the one product R * P_{0:n-1}^{-1}: row k of R is the bottom row of
     the suffix product P_{n-k+1:n-1} (e for k = 1), accumulated right to
-    left, and prefix[n-1] = P_{0:n-1} (see ``check_membership``)."""
+    left, and prefix[n-1] = P_{0:n-1}.  M = X^{-1} exactly when the
+    inverse condition holds."""
     n = P.n
     rows = [1]
     suffix = None
@@ -107,8 +108,7 @@ def _structure(
     """The one structural pass behind ``check_membership``.
 
     Returns the report, the prefix products P_{0:0}, ..., P_{0:n}, X,
-    X * X^T and M, the matrix of claimed rows of X^{-1} (None when X is
-    singular).  M = X^{-1} exactly when the inverse condition holds.
+    X * X^T and X^{-1} (None when X is singular).
     """
     n = P.n
     prefix = [P[0]]
@@ -122,10 +122,13 @@ def _structure(
     x_invertible = rank_x == n
     bad_product = _first_mismatch(prefix[n], gram)
 
-    m = bad_inverse = None
+    x_inv = bad_inverse = None
     if x_invertible:
-        m = _claimed_rows(P, prefix)
-        bad_inverse = _first_mismatch(m @ x, identity(n))
+        x_inv = x.inverse()
+        # row k of X^-1 is the bottom row of P_{0:n-k}^-1 exactly when
+        # it times P_{0:n-k} is e^T, the packed word 1
+        products = ((k, BitMatrix(1, n, (w,)) @ prefix[n - k]) for k, w in enumerate(x_inv.words, 1))
+        bad_inverse = next((k for k, p in products if p.words != (1,)), None)
 
     cond_product = bad_product is None
     cond_inverse = x_invertible and bad_inverse is None
@@ -142,19 +145,18 @@ def _structure(
             f" is not the bottom row of P_0:{n - bad_inverse}^-1"
         )
     report = CheckReport(passed, x_invertible, cond_product, cond_inverse, witness)
-    return report, prefix, x, gram, m
+    return report, prefix, x, gram, x_inv
 
 
 def check_membership(P: AlgorithmSeq) -> CheckReport:
-    """Evaluate both membership conditions without forming any inverse of X.
+    """Evaluate both membership conditions on n x n bit matrices.
 
-    The inverse condition is tested as M * X = I where M stacks the
-    claimed rows; the bottom rows of the partial-product inverses come
-    from one inversion of P_{0:n-1} via
-    P_{0:j}^{-1} = P_{j+1:n-1} * P_{0:n-1}^{-1}.  A failed condition's
-    witness names its first bad row, counted from 1: the first row where
-    P_{0:n} and X*X^T differ, or the first k where row k of M is not
-    row k of X^{-1} (the first row of M*X that is not the identity's).
+    The inverse condition is tested as the paper states it: X is
+    inverted once, and row k of X^{-1} is the bottom row of
+    P_{0:n-k}^{-1} exactly when (row k of X^{-1}) * P_{0:n-k} = e^T,
+    one row times a prefix product the pass already holds.  A failed
+    condition's witness names its first bad row, counted from 1: the
+    first row where P_{0:n} and X*X^T differ, or the first such k.
     """
     return _structure(P)[0]
 
@@ -167,10 +169,10 @@ def check_corner_condition(P: AlgorithmSeq) -> bool:
     """No central product P_{k:l} (0 < k <= l < n), nor its inverse, has
     a 1 in its bottom-right corner.
 
-    With M and X as in ``check_membership``, entry (r, c) of M * X,
-    counted from 0, is e^T P_{0:n-1-r}^{-1} P_{0:n-1-c} e: 1 on the
-    diagonal, the corner of P_{n-r:n-1-c} below it and the corner of
-    P_{n-c:n-1-r}^{-1} above it.  So
+    Let M stack the claimed rows of X^{-1}, row k (from 1) the bottom
+    row of P_{0:n-k}^{-1}.  Entry (r, c) of M * X, counted from 0, is
+    e^T P_{0:n-1-r}^{-1} P_{0:n-1-c} e: 1 on the diagonal, the corner
+    of P_{n-r:n-1-c} below it and that of P_{n-c:n-1-r}^{-1} above it.  So
 
         corner(P_{k:l})      = (M X)[n-k][n-1-l]
         corner(P_{k:l}^{-1}) = (M X)[n-1-l][n-k],
@@ -186,11 +188,13 @@ def check_corner_condition(P: AlgorithmSeq) -> bool:
 def _corner_witness(P: AlgorithmSeq) -> Optional[tuple[int, int, bool]]:
     """The first (k, l), by ascending k and then l, whose corner is set,
     with True when it is the corner of P_{k:l}^{-1}; None when the
-    condition holds.  Reads the corners off M * X; the structural pass
-    skips M when X is singular, so it is formed here then."""
+    condition holds.  When it fails, M is formed and the corners are
+    read off M * X."""
     n = P.n
-    _, prefix, x, _, m = _structure(P)
-    mx = (_claimed_rows(P, prefix) if m is None else m) @ x
+    report, prefix, x, _, _ = _structure(P)
+    if report.cond_inverse:
+        return None
+    mx = _claimed_rows(P, prefix) @ x
     for k in range(1, n):
         for l in range(k, n):
             if mx.words[n - k] >> l & 1:

@@ -19,8 +19,8 @@ largest magnitude in a column, so no entry of an evaluation exceeds
 2^n, and the stages of an identity run in the smallest signed integer
 type that holds 2^n (int16 up to n = 14, the default size guard); the
 result is cast into int32 by the final row scatter.  ``hadamard``
-builds the transform itself straight from its definition, entry
-(i, j) = (-1)^popcount(i & j).
+builds the transform itself, whose entry (i, j) is (-1)^popcount(i & j),
+by Sylvester doubling in place in its int32 result.
 """
 
 from __future__ import annotations
@@ -59,20 +59,14 @@ def _guard(n: int) -> None:
 def hadamard(n: int) -> np.ndarray:
     """The 2^n x 2^n Walsh-Hadamard matrix in natural (binary) order."""
     _guard(n)
-    idx = np.arange(1 << n, dtype=np.uint16 if n <= 16 else np.uint32)
-    x = np.bitwise_and.outer(idx, idx)
-    # fold the parity of each entry into its lowest bit, in place
-    tmp = np.empty_like(x)
-    shift = 4 * x.itemsize
-    while shift:
-        np.right_shift(x, shift, out=tmp)
-        x ^= tmp
-        shift >>= 1
-    del tmp  # freed before the int32 result is allocated
-    np.bitwise_and(x, 1, out=x)
-    h = x.astype(np.int32)
-    h *= -2
-    h += 1
+    h = np.empty((1 << n, 1 << n), dtype=np.int32)
+    h[0, 0] = 1
+    for k in range(n):
+        # Sylvester doubling in place: H_{k+1} = [[H_k, H_k], [H_k, -H_k]]
+        m = 1 << k
+        h[:m, m : 2 * m] = h[:m, :m]
+        h[m : 2 * m, :m] = h[:m, :m]
+        np.negative(h[:m, :m], out=h[m : 2 * m, m : 2 * m])
     return h
 
 

@@ -223,6 +223,23 @@ def kron_hadamard(n: int) -> np.ndarray:
     return functools.reduce(np.matmul, factors)
 
 
+def reshape_fwht(x: np.ndarray) -> np.ndarray:
+    """H_n times x along the first axis, by the textbook in-place butterfly.
+
+    Each step views the rows as (high bits, one bit, low bits) and
+    replaces each pair (a, b) across the middle axis by (a + b, a - b),
+    one bit per step, so the result is in natural order.
+    """
+    size = x.shape[0]
+    out = np.array(x)
+    h = size >> 1
+    while h:
+        y = out.reshape(size // (2 * h), 2, h, -1)
+        y[:, 0], y[:, 1] = y[:, 0] + y[:, 1], y[:, 0] - y[:, 1]
+        h >>= 1
+    return out
+
+
 def border_all_ones(P: AlgorithmSeq) -> bool:
     w = evaluate(P)
     return bool((w[0] == 1).all() and (w[:, 0] == 1).all())

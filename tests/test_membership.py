@@ -25,7 +25,7 @@ from linwht import (
 )
 from linwht.gf2 import BitMatrix
 from linwht.groups import enumerate_gl
-from linwht.membership import _corner_witness, _structure, find_counterexample
+from linwht.membership import _claimed_rows, _corner_witness, _structure, find_counterexample
 from linwht.oracle import dependency_sets
 from linwht.textio import format_sequence, parse_document
 
@@ -38,6 +38,7 @@ from helpers import (
     naive_inverse,
     naive_mul,
     naive_prefix_products,
+    naive_rank,
     naive_spreading,
     random_sequence,
     read_fixture,
@@ -291,34 +292,36 @@ SHARED_KINDS = ("member", "twisted", "random", "singular")
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 10), st.sampled_from(SHARED_KINDS), st.integers(0, 2**30))
-# n = 33 puts M's product on gf2's vectorised path (_VECTOR_MIN_DIM = 32);
-# random seed 3 draws an invertible X that fails the inverse condition
+# at n = 33 the prefix products and _claimed_rows take gf2's vectorised
+# path (_VECTOR_MIN_DIM = 32) and the one-row products of the inverse
+# condition the int path; random seed 3 draws an invertible X that fails
+# the inverse condition
 @example(33, "member", 1)
 @example(33, "twisted", 2)
 @example(33, "random", 3)
 @example(33, "singular", 4)
 def test_shared_pass_against_naive(n, kind, seed):
     """The one structural pass returns the naive prefix products, the
-    naive spreading matrix, X*X^T and, whenever X is invertible, M with row
-    k the bottom row of the naive inverse of P_{0:n-k}; M is the naive
-    inverse of X when the inverse condition holds."""
+    naive spreading matrix, X*X^T and, whenever X is invertible, the
+    naive inverse of X; on every draw, singular X included, row k of
+    the claimed rows M is the bottom row of the naive inverse of
+    P_{0:n-k}."""
     if n == 1:
         kind = "member"
     P = _corner_draw(n, kind, random.Random(seed))
-    report, prefix, x, gram, m = _structure(P)
+    report, prefix, x, gram, x_inv = _structure(P)
     naive_prefix = naive_prefix_products(P)
     assert [q.to_lists() for q in prefix] == naive_prefix
     assert x.to_lists() == naive_spreading(P)
     assert x == spreading_matrix(P)
     assert gram.to_lists() == naive_mul(x.to_lists(), [list(col) for col in zip(*x.to_lists())])
     if report.x_invertible:
-        rows = m.to_lists()
-        for k in range(1, n + 1):
-            assert rows[k - 1] == naive_inverse(naive_prefix[n - k])[n - 1]
-    if report.cond_inverse:
-        assert m.to_lists() == naive_inverse(x.to_lists())
-    if not report.x_invertible:
-        assert m is None
+        assert x_inv.to_lists() == naive_inverse(x.to_lists())
+    else:
+        assert x_inv is None
+    rows = _claimed_rows(P, prefix).to_lists()
+    for k in range(1, n + 1):
+        assert rows[k - 1] == naive_inverse(naive_prefix[n - k])[n - 1]
     if kind == "member":
         assert report.passed
 
@@ -362,17 +365,54 @@ def test_product_witness_names_first_bad_row():
     assert witness.endswith(f"first in row {first + 1} of {P.n}")
 
 
-def test_inverse_witness_names_first_bad_row():
-    P = parse_document(read_fixture("break_inverse_n3.alg")).seq
-    witness = check_membership(P).witness
-    assert witness.startswith("rows of X^-1 do not match the partial-product inverses")
+def _naive_first_bad_inverse_row(P: AlgorithmSeq):
+    """The first k where row k of the naive X^-1 is not the bottom row of
+    the naive inverse of P_{0:n-k}, or None."""
     n = P.n
-    x_inv = naive_inverse(spreading_matrix(P).to_lists())
-    # row k of X^-1 should be the bottom row of P_{0:n-k}^-1
-    bottoms = {k: naive_inverse(_lists_product(P.matrices[: n - k + 1]))[n - 1] for k in range(1, n + 1)}
-    k = next(k for k in range(1, n + 1) if x_inv[k - 1] != bottoms[k])
-    assert k == 2
-    assert f"row {k} of {n} is not the bottom row of P_0:{n - k}^-1" in witness
+    x_inv = naive_inverse(naive_spreading(P))
+    prefix = naive_prefix_products(P)
+    return next((k for k in range(1, n + 1) if x_inv[k - 1] != naive_inverse(prefix[n - k])[n - 1]), None)
+
+
+def _with_product_condition(P: AlgorithmSeq) -> AlgorithmSeq:
+    """P with P_n replaced by P_{0:n-1}^-1 X X^T, formed entry by entry.
+
+    Neither X nor the inverse condition reads P_n, so this keeps both
+    and makes the product condition hold, which lets the witness name
+    the inverse condition's row."""
+    x = naive_spreading(P)
+    gram = naive_mul(x, [list(col) for col in zip(*x)])
+    rows = naive_mul(naive_inverse(naive_prefix_products(P)[P.n - 1]), gram)
+    last = BitMatrix.from_text("/".join("".join(map(str, r)) for r in rows))
+    return AlgorithmSeq(P.matrices[:-1] + (last,))
+
+
+def _inverse_witness_inputs():
+    """The two frozen fixtures, then seeded random sequences whose X is
+    invertible and fails the inverse condition."""
+    for name in ("break_inverse_n2", "break_inverse_n3"):
+        yield parse_document(read_fixture(f"{name}.alg")).seq
+    for n in (4, 8, 16, 33):
+        rng = random.Random(n)
+        while True:
+            P = random_sequence(n, rng)
+            if naive_rank(naive_spreading(P)) == n and _naive_first_bad_inverse_row(P):
+                break
+        yield _with_product_condition(P)
+
+
+def test_inverse_witness_names_first_bad_row():
+    seen = []
+    for P in _inverse_witness_inputs():
+        n = P.n
+        r = check_membership(P)
+        assert r.cond_product and r.x_invertible and not r.cond_inverse
+        assert r.witness.startswith("rows of X^-1 do not match the partial-product inverses")
+        # row k of X^-1 should be the bottom row of P_{0:n-k}^-1
+        k = _naive_first_bad_inverse_row(P)
+        assert r.witness.endswith(f"row {k} of {n} is not the bottom row of P_0:{n - k}^-1")
+        seen.append((n, k))
+    assert seen[1] == (3, 2)
 
 
 def test_counterexample_arg_validation():

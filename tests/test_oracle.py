@@ -37,6 +37,7 @@ from helpers import (
     naive_rank,
     perm_matrix,
     random_sequence,
+    reshape_fwht,
 )
 
 
@@ -45,10 +46,13 @@ def test_hadamard_matches_hand_table():
 
 
 def test_hadamard_sign_rule():
-    h = hadamard(4)
-    for i in (0, 3, 9, 15):
-        for j in (0, 5, 10, 14):
-            assert h[i, j] == (-1) ** parity(i & j)
+    """Every entry is (-1)^popcount(i & j), whatever way the matrix is built."""
+    for n in range(1, 11):
+        idx = np.arange(1 << n)
+        sign = np.array([(-1) ** parity(v) for v in range(1 << n)], dtype=np.int32)
+        h = hadamard(n)
+        assert h.dtype == np.int32
+        assert (h == sign[np.bitwise_and.outer(idx, idx)]).all(), n
 
 
 def test_hadamard_first_row_and_column_ones():
@@ -270,6 +274,26 @@ def test_transform_spans_panels_with_remainder():
     assert (transform(P, x) == naive_evaluate(P) @ x).all()
     # a non-contiguous input takes the same path
     assert (transform(P, x[:, ::2]) == naive_evaluate(P) @ x[:, ::2]).all()
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_transform_matches_reshape_fwht_at_large_n(n):
+    """Members' transforms equal a reshape FWHT past the dense oracle's
+    reach, where a panel holds two float64 or four int32 columns (n=15)
+    and one float64 or two int32 columns (n=16)."""
+    rng = random.Random(n)
+    members = [pease(n), iterative_ct(n)]
+    members += [sample_member(n, rng.randrange(1 << 30)) for _ in range(2)]
+    data = np.random.default_rng(n)
+    for x in (
+        _integer_valued((1 << n,), np.float64, data),
+        _integer_valued((1 << n, 4), np.int32, data),
+    ):
+        want = reshape_fwht(x)
+        for P in members:
+            got = transform(P, x)
+            assert got.dtype == x.dtype and got.shape == x.shape
+            assert (got == want).all()
 
 
 def test_transform_rejects_wrong_first_axis():
