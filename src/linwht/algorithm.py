@@ -36,8 +36,8 @@ class AlgorithmSeq:
                 raise DimensionError(
                     f"stage matrix {idx} is {m.rows}x{m.cols}, expected {n}x{n}"
                 )
-            if not m.is_invertible():
-                raise SingularError(f"stage matrix {idx} is singular", m.rank())
+            if (rank := m.rank()) != n:
+                raise SingularError(f"stage matrix {idx} is singular", rank)
 
     @property
     def n(self) -> int:

@@ -49,10 +49,10 @@ __all__ = ["main"]
 
 @contextmanager
 def _naming(path: str):
-    """A parse, validation or size error raised inside names the file."""
+    """A parse, validation, size or allocation error raised inside names the file."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -109,7 +109,7 @@ def _format_row(P: AlgorithmSeq, table: bool) -> str:
     if not table:
         return format_sequence(P)
     mats = "; ".join(m.to_text() for m in P)
-    _, prefix, x, _, _ = _structure(P)
+    _, prefix, x, _ = _structure(P)
     return f"{mats} | product {prefix[-1].to_text()} | X {x.to_text()}"
 
 
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     except NotMemberError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, SizeLimitError, OSError, ValueError) as exc:
+    except (ParseError, SizeLimitError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -107,7 +107,7 @@ def factorize(P: AlgorithmSeq) -> FactorTuple:
     X^{-1} and the prefix products; D_{i+1} = C^{-i} * X^{-1} * P_{0:i}.
     Raises NotMemberError when the sequence fails that check.
     """
-    report, prefix, b, _, b_inv = _structure(P)
+    report, prefix, b, b_inv = _structure(P)
     if not report.passed:
         raise NotMemberError(report.witness or "sequence fails the membership conditions")
     qs = tuple(_unbordered(_shift_rows(b_inv @ prefix[i], -i)) for i in range(P.n))

@@ -153,9 +153,6 @@ class BitMatrix:
     def to_lists(self) -> list[list[int]]:
         return [[(w >> (self.cols - 1 - j)) & 1 for j in range(self.cols)] for w in self.words]
 
-    def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"BitMatrix({self.to_text()!r})"
 

@@ -19,10 +19,10 @@ matrices, which is O(n^3) operations on n-bit row words.
 
 One structural pass, ``_structure``, is the only code that forms the
 prefix products P_{0:k} and X.  It also forms X's rank, X * X^T and
-X^{-1}, tests the inverse condition row by row, and hands all of it
-back: ``check_membership`` keeps the report, ``spreading_matrix`` X,
-``factorize`` B = X, X^{-1} and the prefix products,
-``predict_plus_set`` P_{0:n} and X * X^T, ``_corner_witness`` the
+X^{-1}, tests the inverse condition row by row, and hands all but
+X * X^T back: ``check_membership`` keeps the report, ``spreading_matrix``
+X, ``factorize`` B = X, X^{-1} and the prefix products,
+``predict_plus_set`` P_{0:n} and X^{-1}, ``_corner_witness`` the
 prefix products and X, and the CLI's table rows P_{0:n} and X.  The
 paper's corner condition is the inverse condition read as M * X = I,
 where M stacks the claimed rows of X^{-1} (see
@@ -104,11 +104,12 @@ def _first_mismatch(a: BitMatrix, b: BitMatrix) -> Optional[int]:
 
 def _structure(
     P: AlgorithmSeq,
-) -> tuple[CheckReport, list[BitMatrix], BitMatrix, BitMatrix, Optional[BitMatrix]]:
+) -> tuple[CheckReport, list[BitMatrix], BitMatrix, Optional[BitMatrix]]:
     """The one structural pass behind ``check_membership``.
 
-    Returns the report, the prefix products P_{0:0}, ..., P_{0:n}, X,
-    X * X^T and X^{-1} (None when X is singular).
+    Returns the report, the prefix products P_{0:0}, ..., P_{0:n}, X and
+    X^{-1} (None when X is singular); (X * X^T)^{-1} is X^{-T} * X^{-1}.
+    X is ranked first, as a failed inversion costs about twice a rank.
     """
     n = P.n
     prefix = [P[0]]
@@ -117,10 +118,9 @@ def _structure(
     # the rows of X^T are the columns of X, so it is built directly
     xt = BitMatrix(n, n, tuple(prefix[j].apply(1) for j in range(n - 1, -1, -1)))
     x = xt.transpose()
-    gram = x @ xt
     rank_x = x.rank()
     x_invertible = rank_x == n
-    bad_product = _first_mismatch(prefix[n], gram)
+    bad_product = _first_mismatch(prefix[n], x @ xt)
 
     x_inv = bad_inverse = None
     if x_invertible:
@@ -145,7 +145,7 @@ def _structure(
             f" is not the bottom row of P_0:{n - bad_inverse}^-1"
         )
     report = CheckReport(passed, x_invertible, cond_product, cond_inverse, witness)
-    return report, prefix, x, gram, x_inv
+    return report, prefix, x, x_inv
 
 
 def check_membership(P: AlgorithmSeq) -> CheckReport:
@@ -191,7 +191,7 @@ def _corner_witness(P: AlgorithmSeq) -> Optional[tuple[int, int, bool]]:
     condition holds.  When it fails, M is formed and the corners are
     read off M * X."""
     n = P.n
-    report, prefix, x, _, _ = _structure(P)
+    report, prefix, x, _ = _structure(P)
     if report.cond_inverse:
         return None
     mx = _claimed_rows(P, prefix) @ x
@@ -209,18 +209,19 @@ def predict_plus_set(P: AlgorithmSeq, i: int) -> frozenset[int]:
 
     Requires the corner condition, tested as the equivalent inverse
     condition; then the +1 rows of column i are exactly
-    { j : <(X X^T)^{-1} P_{0:n} i, j> = 0 }.  For i = 0 this is every
-    output index.  The set has up to 2^n entries, so n is bounded like
-    the dense oracle (``SizeLimitError`` above ``oracle_max_n``).
+    { j : <(X X^T)^{-1} P_{0:n} i, j> = 0 }, where (X X^T)^{-1} is
+    X^{-T} X^{-1}, from the structural pass's X^{-1}.  For i = 0 this is
+    every output index.  The set has up to 2^n entries, so n is bounded
+    like the dense oracle (``SizeLimitError`` above ``oracle_max_n``).
     """
     n = P.n
     if not 0 <= i < 1 << n:
         raise ValueError(f"input index {i} outside 0..{(1 << n) - 1}")
     _guard(n)
-    report, prefix, _, gram, _ = _structure(P)
+    report, prefix, _, x_inv = _structure(P)
     if not report.cond_inverse:
         raise ConditionError("plus-set prediction needs the corner condition to hold")
-    u = gram.inverse().apply(prefix[n].apply(i))
+    u = x_inv.transpose().apply(x_inv.apply(prefix[n].apply(i)))
     return frozenset(j for j in range(1 << n) if parity(u & j) == 0)
 
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .algorithm import AlgorithmSeq
 from .config import SizeLimitError, active_limits
-from .gf2 import BitMatrix, DimensionError, SingularError
+from .gf2 import BitMatrix, DimensionError
 
 __all__ = [
     "DependencySets",
@@ -71,10 +71,8 @@ def hadamard(n: int) -> np.ndarray:
 
 
 def perm_indices(q: BitMatrix) -> np.ndarray:
-    """Destination table of the index permutation i -> q*i."""
-    if q.rows != q.cols:
-        rank = q.rank()
-        raise SingularError(f"permutation matrix is {q.rows}x{q.cols}, not square (rank {rank})", rank)
+    """Destination table of the index permutation i -> q*i.  q must be a
+    stage of an ``AlgorithmSeq``, which has proved it invertible."""
     size = 1 << q.rows
     idx = np.zeros(size, dtype=np.intp)
     h = 1
@@ -82,10 +80,6 @@ def perm_indices(q: BitMatrix) -> np.ndarray:
         # q*(h + i) = q*h ^ q*i for i < h
         idx[h : 2 * h] = idx[:h] ^ q.apply(h)
         h <<= 1
-    # a linear map is a bijection exactly when only 0 maps to 0
-    if not idx[1:].all():
-        rank = q.rank()
-        raise SingularError(f"permutation matrix is singular (rank {rank})", rank)
     return idx
 
 

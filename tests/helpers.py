@@ -209,6 +209,32 @@ def naive_evaluate(P: AlgorithmSeq, first: int = 1, final_perm: bool = True) -> 
     return m
 
 
+def naive_transform(P: AlgorithmSeq, x: np.ndarray) -> np.ndarray:
+    """The stages run one at a time on the rows of x, in x's dtype.
+
+    Each stage's index map i -> P_k i is the XOR of the columns P_k e_j
+    over the set bits j of i, formed by numpy bit arithmetic.  Row i
+    moves to row P_k i, then each natural-order pair (2j, 2j+1) becomes
+    its sum and difference; stages run n..1, and P_0 moves the rows last.
+    """
+    n = P.n
+    idx = np.arange(1 << n)
+
+    def moved(q: BitMatrix, y: np.ndarray) -> np.ndarray:
+        dest = np.zeros_like(idx)
+        for j in range(n):
+            dest ^= ((idx >> j) & 1) * q.apply(1 << j)
+        out = np.empty_like(y)
+        out[dest] = y
+        return out
+
+    y = np.array(x)
+    for k in range(n, 0, -1):
+        m = moved(P[k], y)
+        y[0::2], y[1::2] = m[0::2] + m[1::2], m[0::2] - m[1::2]
+    return moved(P[0], y)
+
+
 def bit_reverse(i: int, n: int) -> int:
     return int(format(i, f"0{n}b")[::-1], 2)
 

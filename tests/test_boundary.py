@@ -1,5 +1,7 @@
 """The size contract 1 <= n <= N_MAX and the error types at the input boundary."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -7,7 +9,10 @@ from hypothesis import strategies as st
 from linwht import AlgorithmSeq, FactorTuple, identity, pease, sample_member
 from linwht.config import N_MAX
 from linwht.gf2 import BitMatrix, DimensionError, SingularError
+from linwht.groups import random_invertible
 from linwht.textio import ParseError, parse_document, parse_factors, parse_sequence
+
+from helpers import naive_rank
 
 HUGE_N = "n=" + "9" * 5000 + "; 1; 1"
 
@@ -61,6 +66,36 @@ def test_factor_tuple_singular_carries_rank():
     with pytest.raises(SingularError) as e:
         parse_factors("n=1; 0")
     assert e.value.rank == 0
+
+
+def test_algorithm_seq_rejects_non_square_stage():
+    with pytest.raises(DimensionError) as e:
+        AlgorithmSeq((identity(2), BitMatrix.from_text("10/01/11"), identity(2)))
+    assert str(e.value) == "stage matrix 1 is 3x2, expected 2x2"
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_algorithm_seq_names_first_singular_stage(data):
+    """Each stage in ``bad`` gets a row that is the sum of a subset of
+    its other rows, so its rank falls below n; the error names the
+    first such stage and carries that stage's rank."""
+    n = data.draw(st.integers(1, 8))
+    bad = data.draw(st.sets(st.integers(0, n), min_size=1))
+    rng = random.Random(data.draw(st.integers(0, 2**30)))
+    mats = [random_invertible(n, rng) for _ in range(n + 1)]
+    for k in bad:
+        words = list(mats[k].words)
+        r = data.draw(st.integers(0, n - 1))
+        words[r] = 0
+        for other in data.draw(st.sets(st.integers(0, n - 1))) - {r}:
+            words[r] ^= words[other]
+        mats[k] = BitMatrix(n, n, tuple(words))
+    first = min(bad)
+    with pytest.raises(SingularError) as e:
+        AlgorithmSeq(tuple(mats))
+    assert str(e.value) == f"stage matrix {first} is singular"
+    assert e.value.rank == naive_rank(mats[first].to_lists())
 
 
 @settings(max_examples=300, deadline=None)

@@ -145,6 +145,19 @@ def test_check_error_names_the_file(capsys, monkeypatch, argv, stdin, named):
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {named}: ")
 
 
+def test_check_out_of_memory_names_the_file(capsys, monkeypatch):
+    """An input too large for the memory at hand exits 2 with one line naming the file."""
+
+    def exhausted(P):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array with shape (16384, 16384)")
+
+    monkeypatch.setattr("linwht.cli.evaluate", exhausted)
+    path = fixture("pease2.alg")
+    code, out, err = run_cli(capsys, "check", "--oracle", path)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+
+
 def test_count_output(capsys):
     code, out, _ = run_cli(capsys, "count", "-n", "4")
     assert code == 0

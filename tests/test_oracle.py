@@ -18,7 +18,7 @@ from linwht import (
     sample_member,
     transform,
 )
-from linwht.gf2 import BitMatrix, SingularError, parity, rotation_matrix
+from linwht.gf2 import parity, rotation_matrix
 from linwht.groups import random_invertible
 from linwht.oracle import (
     _PANEL_BYTES,
@@ -34,7 +34,7 @@ from helpers import (
     forced_singular_sequence,
     kron_hadamard,
     naive_evaluate,
-    naive_rank,
+    naive_transform,
     perm_matrix,
     random_sequence,
     reshape_fwht,
@@ -76,30 +76,6 @@ def test_perm_indices_matches_apply(n, seed):
     q = random_invertible(n, random.Random(seed))
     idx = perm_indices(q)
     assert idx.tolist() == [q.apply(i) for i in range(1 << n)]
-
-
-def test_perm_indices_rejects_singular():
-    with pytest.raises(ValueError):
-        perm_indices(BitMatrix.from_text("11/11"))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 8).flatmap(lambda n: st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)))
-def test_perm_indices_singular_exactly_below_full_rank(words):
-    n = len(words)
-    rank = naive_rank([[(w >> (n - 1 - c)) & 1 for c in range(n)] for w in words])
-    q = BitMatrix(n, n, tuple(words))
-    if rank == n:
-        assert perm_indices(q).tolist() == [q.apply(i) for i in range(1 << n)]
-    else:
-        with pytest.raises(SingularError) as err:
-            perm_indices(q)
-        assert err.value.rank == rank
-
-
-def test_perm_indices_rejects_non_square():
-    with pytest.raises(SingularError):
-        perm_indices(BitMatrix.from_text("10/01/11"))
 
 
 @settings(max_examples=30)
@@ -294,6 +270,36 @@ def test_transform_matches_reshape_fwht_at_large_n(n):
             got = transform(P, x)
             assert got.dtype == x.dtype and got.shape == x.shape
             assert (got == want).all()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_naive_transform_matches_naive_product(n, kind):
+    """The stage-by-stage reference agrees with the dense product it
+    stands in for past the dense limit."""
+    data = np.random.default_rng(n)
+    for seed in range(2):
+        P = _sequence(kind, n, seed)
+        for x in (_integer_valued((1 << n,), np.int64, data), _integer_valued((1 << n, 3), np.int64, data)):
+            assert (naive_transform(P, x) == naive_evaluate(P) @ x).all()
+
+
+@pytest.mark.parametrize("n", [15, 16])
+def test_transform_matches_naive_transform_at_large_n(n):
+    """Past the dense limit, members and non-members alike equal a
+    reference that builds no gather table and uses no split order."""
+    rng = random.Random(n)
+    seqs = [pease(n), sample_member(n, rng.randrange(1 << 30))]
+    seqs += [random_sequence(n, rng) for _ in range(2)]
+    data = np.random.default_rng(n)
+    for x in (
+        _integer_valued((1 << n,), np.float64, data),
+        _integer_valued((1 << n, 3), np.int32, data),
+    ):
+        for P in seqs:
+            got = transform(P, x)
+            assert got.dtype == x.dtype and got.shape == x.shape
+            assert (got == naive_transform(P, x)).all()
 
 
 def test_transform_rejects_wrong_first_axis():
