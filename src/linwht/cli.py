@@ -21,6 +21,7 @@ from .factory import (
     factorize,
     sample_member,
 )
+from .gf2 import _packed
 from .groups import (
     count_algorithms,
     count_algorithms_simplified,
@@ -110,7 +111,7 @@ def _format_row(P: AlgorithmSeq, table: bool) -> str:
         return format_sequence(P)
     mats = "; ".join(m.to_text() for m in P)
     _, prefix, x, _ = _structure(P)
-    return f"{mats} | product {prefix[-1].to_text()} | X {x.to_text()}"
+    return f"{mats} | product {_packed(prefix[-1]).to_text()} | X {x.to_text()}"
 
 
 def _cmd_enumerate(args) -> int:
@@ -249,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_export_dot)
 
     p = sub.add_parser("bench", help="time the fast check across sizes")
-    p.add_argument("--sizes", default="4,8,16,32,64")
+    p.add_argument("--sizes", default="3,4,8,16,32,64")
     p.add_argument("--repeat", type=int, default=5)
     p.set_defaults(func=_cmd_bench)
 

@@ -14,7 +14,7 @@ sequence, and since P_{0:i} = B * C^i * D_{i+1},
 
     D_{i+1} = C^{-i} * X^{-1} * P_{0:i},
 
-one product with the structural pass's prefix product per stage.  The
+one parity product with the structural pass's prefix product per stage.  The
 map is injective, so member counts equal parameter counts:
 |GL_n| * |GL_{n-1}|^n.
 """
@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .algorithm import AlgorithmSeq
 from .config import BIT_INDEX_ENUM_MAX, MEMBER_ENUM_MAX, N_MAX
-from .gf2 import BitMatrix, DimensionError, SingularError
+from .gf2 import BitMatrix, DimensionError, SingularError, _mul_bits, _packed, _to_bits
 from .groups import enumerate_gl, enumerate_perm, random_invertible
 from .membership import NotMemberError, _structure, check_membership
 from .oracle import evaluate, hadamard
@@ -103,14 +103,15 @@ def build(f: FactorTuple) -> AlgorithmSeq:
 def factorize(P: AlgorithmSeq) -> FactorTuple:
     """Recover the (B, Q_1..Q_n) coordinates of a member.
 
-    One structural pass, the same as ``check_membership``, gives B = X,
-    X^{-1} and the prefix products; D_{i+1} = C^{-i} * X^{-1} * P_{0:i}.
+    One structural pass, the same as ``check_membership``, gives B = X, X^{-1}
+    and the prefix stack; each D_{i+1} = C^{-i} * X^{-1} * P_{0:i} is one product.
     Raises NotMemberError when the sequence fails that check.
     """
     report, prefix, b, b_inv = _structure(P)
     if not report.passed:
         raise NotMemberError(report.witness or "sequence fails the membership conditions")
-    qs = tuple(_unbordered(_shift_rows(b_inv @ prefix[i], -i)) for i in range(P.n))
+    m = _to_bits(b_inv.words, P.n)
+    qs = tuple(_unbordered(_shift_rows(_packed(_mul_bits(m, p)), -i)) for i, p in enumerate(prefix[:-1]))
     return FactorTuple(b, qs)
 
 

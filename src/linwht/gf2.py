@@ -234,6 +234,24 @@ class BitMatrix:
         return BitMatrix(n, n, tuple((big >> at) & right for at in pivots))
 
 
+def _to_bits(words, n: int) -> np.ndarray:
+    """Nested row words as 0/1 uint8 along a new last axis of n <= 64 columns, MSB first."""
+    return np.unpackbits(np.array(words, dtype=">u8")[..., None].view(np.uint8), axis=-1)[..., 64 - n :]
+
+
+def _packed(bits: np.ndarray) -> BitMatrix:
+    """The BitMatrix of a 2-D 0/1 array of at most 64 columns."""
+    padded = np.zeros((len(bits), 64), np.uint8)
+    padded[:, 64 - bits.shape[1] :] = bits
+    return BitMatrix(*bits.shape, tuple(np.packbits(padded, axis=-1).view(">u8")[:, 0].tolist()))
+
+
+def _mul_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """GF(2) product of 0/1 arrays, stacked like ``np.matmul``: a float32
+    BLAS product reduced mod 2, exact as no entry sums over 64 < 2^24 ones."""
+    return (a.astype(np.float32) @ b.astype(np.float32)).astype(np.uint8) & 1
+
+
 def identity(n: int) -> BitMatrix:
     return BitMatrix(n, n, tuple(1 << (n - 1 - r) for r in range(n)))
 

@@ -14,16 +14,11 @@ where e = (0, ..., 0, 1)^T.  The conditions are
 
 Neither condition implies the other; ``find_counterexample`` searches
 out witnesses for both gaps.  Everything here runs on n x n bit
-matrices only, never on 2^n-sized objects: O(n) products of n x n
-matrices, which is O(n^3) operations on n-bit row words.
+matrices only, never on 2^n-sized objects.
 
-One structural pass, ``_structure``, is the only code that forms the
-prefix products P_{0:k} and X.  It also forms X's rank, X * X^T and
-X^{-1}, tests the inverse condition row by row, and hands all but
-X * X^T back: ``check_membership`` keeps the report, ``spreading_matrix``
-X, ``factorize`` B = X, X^{-1} and the prefix products,
-``predict_plus_set`` P_{0:n} and X^{-1}, ``_corner_witness`` the
-prefix products and X, and the CLI's table rows P_{0:n} and X.  The
+One structural pass, ``_structure``, runs on the stages unpacked into
+one 0/1 stack; every reader here, ``factorize`` and the CLI's table rows
+use it, packing only the matrix they apply or print.  The
 paper's corner condition is the inverse condition read as M * X = I,
 where M stacks the claimed rows of X^{-1} (see
 ``check_corner_condition``); M is formed only to name a set corner.
@@ -33,10 +28,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .algorithm import AlgorithmSeq
-from .gf2 import BitMatrix, parity
+from .gf2 import BitMatrix, _mul_bits, _packed, _to_bits, parity
 from .groups import random_invertible
 from .oracle import _guard
 
@@ -76,59 +73,54 @@ class CheckReport:
             raise ValueError("inconsistent report: inverse condition needs invertible X")
 
 
-def _claimed_rows(P: AlgorithmSeq, prefix: Sequence[BitMatrix]) -> BitMatrix:
-    """M, whose row k (from 1) is the bottom row of P_{0:n-k}^{-1}, as
-    the one product R * P_{0:n-1}^{-1}: row k of R is the bottom row of
-    the suffix product P_{n-k+1:n-1} (e for k = 1), accumulated right to
-    left, and prefix[n-1] = P_{0:n-1}.  M = X^{-1} exactly when the
-    inverse condition holds."""
+def _chain(stack: np.ndarray) -> np.ndarray:
+    """The running products stack[0] * ... * stack[k], written over the stack."""
+    for k in range(1, len(stack)):
+        stack[k] = _mul_bits(stack[k - 1], stack[k])
+    return stack
+
+
+def _claimed_rows(P: AlgorithmSeq, prefix: np.ndarray) -> BitMatrix:
+    """M (= X^{-1} exactly when the inverse condition holds), row k the bottom row of
+    P_{0:n-k}^{-1}, as R * P_{0:n-1}^{-1}: row k of R is the bottom row of P_{n-k+1:n-1}
+    (e for k = 1), the last column of the chain P_{n-1}^T * ... * P_j^T of transposes."""
     n = P.n
-    rows = [1]
-    suffix = None
-    for j in range(n - 1, 0, -1):
-        suffix = P[j] if suffix is None else P[j] @ suffix
-        rows.append(suffix.words[-1])
-    return BitMatrix(n, n, tuple(rows)) @ prefix[n - 1].inverse()
+    stages = _to_bits([m.words for m in P.matrices], n)[n - 1 : 0 : -1]
+    r = np.vstack([np.arange(n) == n - 1, _chain(stages.transpose(0, 2, 1))[:, :, n - 1]])
+    return _packed(r) @ _packed(prefix[n - 1]).inverse()
 
 
 def spreading_matrix(P: AlgorithmSeq) -> BitMatrix:
-    """Columns P_{0:n-1}*e, ..., P_0*e for e = (0,...,0,1)^T, read off
-    the structural pass."""
+    """Columns P_{0:n-1}*e, ..., P_0*e for e = (0,...,0,1)^T, from ``_structure``."""
     return _structure(P)[2]
 
 
-def _first_mismatch(a: BitMatrix, b: BitMatrix) -> Optional[int]:
-    """Number (from 1) of the first row where a and b differ, or None."""
-    return next((r for r, (x, y) in enumerate(zip(a.words, b.words), start=1) if x != y), None)
+def _first_set_row(diff: np.ndarray) -> Optional[int]:
+    """Number (from 1) of the first row of diff with a set entry, or None."""
+    return next((r for r, bad in enumerate(diff.any(axis=1).tolist(), 1) if bad), None)
 
 
-def _structure(
-    P: AlgorithmSeq,
-) -> tuple[CheckReport, list[BitMatrix], BitMatrix, Optional[BitMatrix]]:
-    """The one structural pass behind ``check_membership``.
-
-    Returns the report, the prefix products P_{0:0}, ..., P_{0:n}, X and
-    X^{-1} (None when X is singular); (X * X^T)^{-1} is X^{-T} * X^{-1}.
-    X is ranked first, as a failed inversion costs about twice a rank.
-    """
+def _structure(P: AlgorithmSeq) -> tuple[CheckReport, np.ndarray, BitMatrix, Optional[BitMatrix]]:
+    """The report, the prefix products P_{0:0..n} as an (n+1, n, n) 0/1 stack, X
+    and X^{-1} (None if X is singular).  Products are ``_mul_bits``; the inverse
+    condition's n row products are one uint8 einsum, exact as no sum exceeds 64.
+    Only X is packed, for ``rank`` then ``inverse`` (a failed one costs 2x a rank)."""
     n = P.n
-    prefix = [P[0]]
-    for q in P.matrices[1:]:
-        prefix.append(prefix[-1] @ q)
-    # the rows of X^T are the columns of X, so it is built directly
-    xt = BitMatrix(n, n, tuple(prefix[j].apply(1) for j in range(n - 1, -1, -1)))
-    x = xt.transpose()
+    prefix = _chain(_to_bits([m.words for m in P.matrices], n))
+    # row c of X^T is the last column of P_{0:n-1-c}
+    xt = prefix[n - 1 :: -1, :, n - 1]
+    x = _packed(xt.T)
     rank_x = x.rank()
     x_invertible = rank_x == n
-    bad_product = _first_mismatch(prefix[n], x @ xt)
+    bad_product = _first_set_row(_mul_bits(xt.T, xt) != prefix[n])
 
     x_inv = bad_inverse = None
     if x_invertible:
         x_inv = x.inverse()
         # row k of X^-1 is the bottom row of P_{0:n-k}^-1 exactly when
-        # it times P_{0:n-k} is e^T, the packed word 1
-        products = ((k, BitMatrix(1, n, (w,)) @ prefix[n - k]) for k, w in enumerate(x_inv.words, 1))
-        bad_inverse = next((k for k, p in products if p.words != (1,)), None)
+        # it times P_{0:n-k} is e^T
+        rows = np.einsum("kj,kjc->kc", _to_bits(x_inv.words, n), prefix[n - 1 :: -1]) & 1
+        bad_inverse = _first_set_row(rows != (np.arange(n) == n - 1))
 
     cond_product = bad_product is None
     cond_inverse = x_invertible and bad_inverse is None
@@ -151,12 +143,10 @@ def _structure(
 def check_membership(P: AlgorithmSeq) -> CheckReport:
     """Evaluate both membership conditions on n x n bit matrices.
 
-    The inverse condition is tested as the paper states it: X is
-    inverted once, and row k of X^{-1} is the bottom row of
-    P_{0:n-k}^{-1} exactly when (row k of X^{-1}) * P_{0:n-k} = e^T,
-    one row times a prefix product the pass already holds.  A failed
-    condition's witness names its first bad row, counted from 1: the
-    first row where P_{0:n} and X*X^T differ, or the first such k.
+    Row k of X^{-1} is the bottom row of P_{0:n-k}^{-1} exactly when it
+    times P_{0:n-k} is e^T.  A failed condition's witness names its first
+    bad row, counted from 1: the first row where P_{0:n} and X*X^T
+    differ, or the first such k.
     """
     return _structure(P)[0]
 
@@ -221,7 +211,7 @@ def predict_plus_set(P: AlgorithmSeq, i: int) -> frozenset[int]:
     report, prefix, _, x_inv = _structure(P)
     if not report.cond_inverse:
         raise ConditionError("plus-set prediction needs the corner condition to hold")
-    u = x_inv.transpose().apply(x_inv.apply(prefix[n].apply(i)))
+    u = x_inv.transpose().apply(x_inv.apply(_packed(prefix[n]).apply(i)))
     return frozenset(j for j in range(1 << n) if parity(u & j) == 0)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from pathlib import Path
 
@@ -53,12 +54,17 @@ def read_fixture(name: str) -> str:
 
 
 def naive_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
+    """Row i of a*b is the sum of the rows k of b with a[i][k] = 1, mod 2."""
+    inner, cols = len(b), len(b[0]) if b else 0
     assert all(len(r) == inner for r in a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) % 2 for j in range(cols)]
-        for i in range(rows)
-    ]
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for bit, b_row in zip(row, b):
+            if bit:
+                acc = list(map(operator.add, acc, b_row))
+        out.append([v % 2 for v in acc])
+    return out
 
 
 def naive_rank(rows: list[list[int]]) -> int:
@@ -88,7 +94,7 @@ def naive_inverse(rows: list[list[int]]) -> list[list[int]]:
         m[c], m[pivot] = m[pivot], m[c]
         for r in range(n):
             if r != c and m[r][c]:
-                m[r] = [x ^ y for x, y in zip(m[r], m[c])]
+                m[r] = list(map(operator.xor, m[r], m[c]))
     return [r[n:] for r in m]
 
 
@@ -137,10 +143,11 @@ def naive_prefix_products(P: AlgorithmSeq) -> list[list[list[int]]]:
     return out
 
 
-def naive_spreading(P: AlgorithmSeq) -> list[list[int]]:
-    """X, whose column c is the last column of P_{0:n-1-c}."""
+def naive_spreading(P: AlgorithmSeq, prefix=None) -> list[list[int]]:
+    """X, whose column c is the last column of P_{0:n-1-c}; ``prefix``
+    passes in ``naive_prefix_products(P)`` when it is already formed."""
     n = P.n
-    prefix = naive_prefix_products(P)
+    prefix = prefix or naive_prefix_products(P)
     return [[prefix[n - 1 - c][r][n - 1] for c in range(n)] for r in range(n)]
 
 
@@ -163,8 +170,11 @@ def twisted_member(n: int, rng: random.Random) -> AlgorithmSeq:
     """A member with P_0 replaced by A*P_0 for a random A != I.
 
     Any nonidentity twist keeps the corner condition (it only touches
-    P_0) and breaks the product condition.
+    P_0) and breaks the product condition.  GL_1 = {I} has no such
+    twist, so n < 2 raises ValueError.
     """
+    if n < 2:
+        raise ValueError(f"no invertible {n}x{n} matrix other than I; need n >= 2")
     P = sample_member(n, rng.randrange(1 << 30))
     while True:
         a = random_invertible(n, rng)

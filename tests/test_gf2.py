@@ -8,8 +8,11 @@ from linwht.gf2 import (
     BitMatrix,
     DimensionError,
     SingularError,
+    _mul_bits,
     _mul_words_int,
     _mul_words_vec,
+    _packed,
+    _to_bits,
     identity,
     parity,
     reversal_matrix,
@@ -134,6 +137,50 @@ def test_vectorized_matmul_agrees_with_int_path():
         a = tuple(rng.randrange(1 << n) for _ in range(n))
         b = tuple(rng.randrange(1 << n) for _ in range(n))
         assert _mul_words_int(a, b, n) == _mul_words_vec(a, b, n)
+
+
+@st.composite
+def word_stacks(draw):
+    """n in 1..64 and a (stages, rows) nest of n-bit words, drawn with
+    the extreme words 0 and 2^n - 1 as likely as any other."""
+    n = draw(st.integers(1, 64))
+    word = st.one_of(st.just(0), st.just((1 << n) - 1), st.integers(0, (1 << n) - 1))
+    rows = draw(st.integers(1, 6))
+    stages = draw(st.integers(1, 3))
+    return n, draw(st.lists(st.lists(word, min_size=rows, max_size=rows), min_size=stages, max_size=stages))
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_stacks())
+@example((1, [[0, 1]]))
+@example((64, [[0, (1 << 64) - 1, 1 << 63, 1]]))
+def test_bit_stack_round_trip(case):
+    """``_to_bits`` puts a word's most significant bit in column 0, and
+    ``_packed`` gives back the same words from each matrix of the stack."""
+    n, words = case
+    bits = _to_bits(words, n)
+    assert bits.shape == (len(words), len(words[0]), n)
+    assert bits.tolist() == [[[(w >> (n - 1 - j)) & 1 for j in range(n)] for w in ws] for ws in words]
+    assert [_packed(b) for b in bits] == [BitMatrix(len(ws), n, tuple(ws)) for ws in words]
+
+
+@st.composite
+def square_word_pairs(draw):
+    """n in 1..64 and the row words of two n x n matrices."""
+    n = draw(st.integers(1, 64))
+    words = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+    return n, draw(words), draw(words)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_word_pairs())
+@example((64, [(1 << 64) - 1] * 64, [(1 << 64) - 1] * 64))
+def test_mul_bits_against_naive(case):
+    """The float32 parity product is exact up to n = 64, where an
+    all-ones product sums 64 ones in every entry."""
+    n, a, b = case
+    got = _mul_bits(_to_bits(a, n), _to_bits(b, n))
+    assert got.tolist() == naive_mul(BitMatrix(n, n, tuple(a)).to_lists(), BitMatrix(n, n, tuple(b)).to_lists())
 
 
 def test_large_inverse_round_trip():

@@ -14,6 +14,7 @@ from linwht import (
     check_corner_condition,
     check_membership,
     evaluate,
+    factorize,
     hadamard,
     identity,
     is_member,
@@ -292,37 +293,91 @@ SHARED_KINDS = ("member", "twisted", "random", "singular")
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 10), st.sampled_from(SHARED_KINDS), st.integers(0, 2**30))
-# at n = 33 the prefix products and _claimed_rows take gf2's vectorised
-# path (_VECTOR_MIN_DIM = 32) and the one-row products of the inverse
-# condition the int path; random seed 3 draws an invertible X that fails
-# the inverse condition
+# fixed draws where the bit stack is widest: n = 33 is past a 32-bit
+# word, and at n = 63 and 64 a float32 parity product sums up to 64
+# terms; random seeds 3 (n=33), 6 (n=63) and 5 (n=64) draw an invertible
+# X that fails the inverse condition
 @example(33, "member", 1)
 @example(33, "twisted", 2)
 @example(33, "random", 3)
 @example(33, "singular", 4)
+@example(63, "member", 1)
+@example(63, "twisted", 2)
+@example(63, "random", 6)
+@example(63, "singular", 4)
+@example(64, "member", 1)
+@example(64, "twisted", 2)
+@example(64, "random", 5)
+@example(64, "singular", 4)
 def test_shared_pass_against_naive(n, kind, seed):
     """The one structural pass returns the naive prefix products, the
     naive spreading matrix and, whenever X is invertible, the naive
     inverse of X; on every draw, singular X included, row k of
-    the claimed rows M is the bottom row of the naive inverse of
-    P_{0:n-k}."""
+    the claimed rows M times the naive P_{0:n-k} is e^T, so it is the
+    bottom row of P_{0:n-k}^{-1}."""
     if n == 1:
         kind = "member"
     P = _corner_draw(n, kind, random.Random(seed))
     report, prefix, x, x_inv = _structure(P)
     naive_prefix = naive_prefix_products(P)
-    assert [q.to_lists() for q in prefix] == naive_prefix
-    assert x.to_lists() == naive_spreading(P)
+    assert prefix.tolist() == naive_prefix
+    assert x.to_lists() == naive_spreading(P, naive_prefix)
     assert x == spreading_matrix(P)
     if report.x_invertible:
         assert x_inv.to_lists() == naive_inverse(x.to_lists())
     else:
         assert x_inv is None
     rows = _claimed_rows(P, prefix).to_lists()
+    e = [0] * (n - 1) + [1]
     for k in range(1, n + 1):
-        assert rows[k - 1] == naive_inverse(naive_prefix[n - k])[n - 1]
+        assert naive_mul([rows[k - 1]], naive_prefix[n - k]) == [e]
     if kind == "member":
         assert report.passed
+
+
+def test_prefix_products_exact_when_sums_reach_64():
+    """Every stage is the 64x64 upper-triangular all-ones matrix U, so
+    row 0 of U times column 63 of U sums 64 ones: the float32 parity
+    chain must still give the naive prefix products and X."""
+    n = 64
+    u = BitMatrix(n, n, tuple((1 << (n - r)) - 1 for r in range(n)))
+    rows = u.to_lists()
+    assert sum(rows[0][k] * rows[k][n - 1] for k in range(n)) == n
+    P = AlgorithmSeq((u,) * (n + 1))
+    report, prefix, x, _ = _structure(P)
+    naive_prefix = naive_prefix_products(P)
+    assert prefix.tolist() == naive_prefix
+    assert x.to_lists() == naive_spreading(P, naive_prefix)
+    assert report == check_membership(P)
+
+
+def test_matmul_calls_do_not_grow_with_n(monkeypatch):
+    """The structural pass and factorize multiply on the bit stack, so
+    their count of packed BitMatrix products is the same at n = 16 and
+    n = 64."""
+    members = {n: sample_member(n, n) for n in (16, 64)}
+    calls = []
+    packed = BitMatrix.__matmul__
+
+    def counted(self, other):
+        calls.append(self.rows)
+        return packed(self, other)
+
+    monkeypatch.setattr(BitMatrix, "__matmul__", counted)
+    for fn in (check_membership, factorize):
+        counts = []
+        for P in members.values():
+            calls.clear()
+            fn(P)
+            counts.append(len(calls))
+        assert counts[0] == counts[1], (fn.__name__, counts)
+
+
+def test_twisted_member_needs_two_bits():
+    """GL_1 = {I} holds no twist, so the helper raises instead of looping."""
+    with pytest.raises(ValueError):
+        twisted_member(1, random.Random(0))
+    assert not check_membership(twisted_member(2, random.Random(0))).cond_product
 
 
 @pytest.mark.parametrize("which,n", [("product", 2), ("inverse", 2), ("product", 3), ("inverse", 3)])
