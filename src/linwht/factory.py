@@ -14,9 +14,10 @@ sequence, and since P_{0:i} = B * C^i * D_{i+1},
 
     D_{i+1} = C^{-i} * X^{-1} * P_{0:i},
 
-one parity product with the structural pass's prefix product per stage.  The
-map is injective, so member counts equal parameter counts:
-|GL_n| * |GL_{n-1}|^n.
+one parity product with the structural pass's prefix product per stage,
+into one 0/1 stack, then one gather for the row shifts C^{-i}, one border
+check and one pack of the Q_i.  The map is injective, so member counts
+equal parameter counts: |GL_n| * |GL_{n-1}|^n.
 """
 
 from __future__ import annotations
@@ -26,9 +27,11 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
+import numpy as np
+
 from .algorithm import AlgorithmSeq
 from .config import BIT_INDEX_ENUM_MAX, MEMBER_ENUM_MAX, N_MAX
-from .gf2 import BitMatrix, DimensionError, SingularError, _mul_bits, _packed, _to_bits
+from .gf2 import BitMatrix, DimensionError, SingularError, _mul_bits, _to_bits, _words
 from .groups import enumerate_gl, enumerate_perm, random_invertible
 from .membership import NotMemberError, _structure, check_membership
 from .oracle import evaluate, hadamard
@@ -79,24 +82,16 @@ def _bordered(q: BitMatrix) -> BitMatrix:
     return BitMatrix(n, n, tuple(w << 1 for w in q.words) + (1,))
 
 
-def _unbordered(m: BitMatrix) -> BitMatrix:
-    n = m.rows
-    if m.words[-1] != 1 or any(w & 1 for w in m.words[:-1]):
-        raise RuntimeError("internal error: factor matrix is not bordered")
-    return BitMatrix(n - 1, n - 1, tuple(w >> 1 for w in m.words[:-1]))
-
-
-def _shift_rows(m: BitMatrix, k: int) -> BitMatrix:
-    """C^k * m: the rows of m moved up k places, cyclically."""
-    k %= m.rows
-    return BitMatrix(m.rows, m.cols, m.words[k:] + m.words[:k])
+def _shift_rows(m: BitMatrix) -> BitMatrix:
+    """C * m: the rows of m moved up one place, cyclically."""
+    return BitMatrix(m.rows, m.cols, m.words[1:] + m.words[:1])
 
 
 def build(f: FactorTuple) -> AlgorithmSeq:
     d = [_bordered(q) for q in f.qs] + [f.b.transpose()]
     mats = [f.b @ d[0]]
     for q, d_next in zip(f.qs, d[1:]):
-        mats.append(_bordered(q.inverse()) @ _shift_rows(d_next, 1))
+        mats.append(_bordered(q.inverse()) @ _shift_rows(d_next))
     return AlgorithmSeq(tuple(mats))
 
 
@@ -110,9 +105,16 @@ def factorize(P: AlgorithmSeq) -> FactorTuple:
     report, prefix, b, b_inv = _structure(P)
     if not report.passed:
         raise NotMemberError(report.witness or "sequence fails the membership conditions")
-    m = _to_bits(b_inv.words, P.n)
-    qs = tuple(_unbordered(_shift_rows(_packed(_mul_bits(m, p)), -i)) for i, p in enumerate(prefix[:-1]))
-    return FactorTuple(b, qs)
+    n = P.n
+    m = _to_bits(b_inv.words, n)
+    at = np.arange(n)
+    d = np.stack([_mul_bits(m, p) for p in prefix[:-1]])
+    # stage i, row r of C^{-i} * D is row r - i of D, cyclically
+    d = d[at[:, None], (at - at[:, None]) % n]
+    e = at == n - 1
+    if (d[:, -1] != e).any() or (d[:, :, -1] != e).any():
+        raise RuntimeError("internal error: factor matrix is not bordered")
+    return FactorTuple(b, tuple(BitMatrix(n - 1, n - 1, tuple(q)) for q in _words(d[:, :-1, :-1])))
 
 
 def sample_member(n: int, seed: Optional[int] = None) -> AlgorithmSeq:

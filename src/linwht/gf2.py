@@ -42,8 +42,8 @@ __all__ = [
     "parity",
 ]
 
-# Above this dimension, multiplication switches to a vectorised path;
-# below it, plain int loops are faster than numpy dispatch overhead.
+# Products with rows and inner dimension from this size up to 64, and at most 64
+# columns, run on the 0/1 bit stack; below it, int loops beat numpy dispatch.
 _VECTOR_MIN_DIM = 32
 
 
@@ -81,19 +81,10 @@ def _mul_words_int(a_words: Sequence[int], b_words: Sequence[int], inner: int) -
     return tuple(out)
 
 
-def _mul_words_vec(a_words: Sequence[int], b_words: Sequence[int], inner: int) -> tuple[int, ...]:
-    a = np.array(a_words, dtype=np.uint64)
-    b = np.array(b_words, dtype=np.uint64)
-    shifts = np.arange(inner - 1, -1, -1, dtype=np.uint64)
-    picks = ((a[:, None] >> shifts[None, :]) & np.uint64(1)).astype(bool)
-    terms = np.where(picks, b[None, :], np.uint64(0))
-    return tuple(np.bitwise_xor.reduce(terms, axis=1).tolist())
-
-
-def _mul_words(a_words: Sequence[int], b_words: Sequence[int], inner: int) -> tuple[int, ...]:
-    if inner >= _VECTOR_MIN_DIM and inner <= 64 and len(a_words) >= _VECTOR_MIN_DIM:
-        return _mul_words_vec(a_words, b_words, inner)
-    return _mul_words_int(a_words, b_words, inner)
+def _mul_words(a: BitMatrix, b: BitMatrix) -> tuple[int, ...]:
+    if _VECTOR_MIN_DIM <= a.cols <= 64 and b.cols <= 64 and a.rows >= _VECTOR_MIN_DIM:
+        return tuple(_words(_mul_bits(_to_bits(a.words, a.cols), _to_bits(b.words, b.cols))))
+    return _mul_words_int(a.words, b.words, a.cols)
 
 
 def _pack(words: Sequence[int], width: int) -> int:
@@ -163,7 +154,7 @@ class BitMatrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return BitMatrix(self.rows, other.cols, _mul_words(self.words, other.words, self.cols))
+        return BitMatrix(self.rows, other.cols, _mul_words(self, other))
 
     def transpose(self) -> "BitMatrix":
         words = [0] * self.cols
@@ -239,11 +230,16 @@ def _to_bits(words, n: int) -> np.ndarray:
     return np.unpackbits(np.array(words, dtype=">u8")[..., None].view(np.uint8), axis=-1)[..., 64 - n :]
 
 
+def _words(bits: np.ndarray) -> list:
+    """Row words of a 0/1 stack of at most 64 columns, as lists nested like the stack."""
+    padded = np.zeros(bits.shape[:-1] + (64,), np.uint8)
+    padded[..., 64 - bits.shape[-1] :] = bits
+    return np.packbits(padded, axis=-1).view(">u8")[..., 0].tolist()
+
+
 def _packed(bits: np.ndarray) -> BitMatrix:
     """The BitMatrix of a 2-D 0/1 array of at most 64 columns."""
-    padded = np.zeros((len(bits), 64), np.uint8)
-    padded[:, 64 - bits.shape[1] :] = bits
-    return BitMatrix(*bits.shape, tuple(np.packbits(padded, axis=-1).view(">u8")[:, 0].tolist()))
+    return BitMatrix(*bits.shape, tuple(_words(bits)))
 
 
 def _mul_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -18,10 +18,10 @@ matrices only, never on 2^n-sized objects.
 
 One structural pass, ``_structure``, runs on the stages unpacked into
 one 0/1 stack; every reader here, ``factorize`` and the CLI's table rows
-use it, packing only the matrix they apply or print.  The
-paper's corner condition is the inverse condition read as M * X = I,
-where M stacks the claimed rows of X^{-1} (see
-``check_corner_condition``); M is formed only to name a set corner.
+use it, packing only the matrix they apply or print.  The paper's corner
+condition is the inverse condition read as M * X = I, where M stacks the
+claimed rows of X^{-1} (see ``check_corner_condition``); M and M * X are
+formed on the stack, and only to name a set corner.
 """
 
 from __future__ import annotations
@@ -80,14 +80,14 @@ def _chain(stack: np.ndarray) -> np.ndarray:
     return stack
 
 
-def _claimed_rows(P: AlgorithmSeq, prefix: np.ndarray) -> BitMatrix:
-    """M (= X^{-1} exactly when the inverse condition holds), row k the bottom row of
-    P_{0:n-k}^{-1}, as R * P_{0:n-1}^{-1}: row k of R is the bottom row of P_{n-k+1:n-1}
-    (e for k = 1), the last column of the chain P_{n-1}^T * ... * P_j^T of transposes."""
+def _claimed_rows(P: AlgorithmSeq, prefix: np.ndarray) -> np.ndarray:
+    """M as a 0/1 array (X^{-1} exactly when the inverse condition holds), row k the
+    bottom row of P_{0:n-k}^{-1}, as R * P_{0:n-1}^{-1}: row k of R is the bottom row of
+    P_{n-k+1:n-1} (e for k = 1), the last column of the chain P_{n-1}^T * ... * P_j^T."""
     n = P.n
     stages = _to_bits([m.words for m in P.matrices], n)[n - 1 : 0 : -1]
     r = np.vstack([np.arange(n) == n - 1, _chain(stages.transpose(0, 2, 1))[:, :, n - 1]])
-    return _packed(r) @ _packed(prefix[n - 1]).inverse()
+    return _mul_bits(r, _to_bits(_packed(prefix[n - 1]).inverse().words, n))
 
 
 def spreading_matrix(P: AlgorithmSeq) -> BitMatrix:
@@ -179,17 +179,17 @@ def _corner_witness(P: AlgorithmSeq) -> Optional[tuple[int, int, bool]]:
     """The first (k, l), by ascending k and then l, whose corner is set,
     with True when it is the corner of P_{k:l}^{-1}; None when the
     condition holds.  When it fails, M is formed and the corners are
-    read off M * X."""
+    read off M * X, with X the last columns of the prefix stack."""
     n = P.n
-    report, prefix, x, _ = _structure(P)
+    report, prefix, _, _ = _structure(P)
     if report.cond_inverse:
         return None
-    mx = _claimed_rows(P, prefix) @ x
+    mx = _mul_bits(_claimed_rows(P, prefix), prefix[n - 1 :: -1, :, n - 1].T).tolist()
     for k in range(1, n):
         for l in range(k, n):
-            if mx.words[n - k] >> l & 1:
+            if mx[n - k][n - 1 - l]:
                 return k, l, False
-            if mx.words[n - 1 - l] >> (k - 1) & 1:
+            if mx[n - 1 - l][n - k]:
                 return k, l, True
     return None
 

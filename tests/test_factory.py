@@ -23,7 +23,8 @@ from linwht import (
     sample_member,
 )
 from linwht.config import MEMBER_ENUM_MAX
-from linwht.factory import _bordered, _unbordered, survey_members
+from linwht import factory
+from linwht.factory import _bordered, survey_members
 from linwht.gf2 import BitMatrix, DimensionError, SingularError, rotation_matrix
 from linwht.groups import count_bit_index_algorithms, random_invertible
 from linwht.membership import spreading_matrix
@@ -73,6 +74,12 @@ def test_spreading_matrix_recovers_b():
     for seed in range(10):
         f = random_factors(4, seed)
         assert spreading_matrix(build(f)) == f.b
+
+
+def _unbordered(m: BitMatrix) -> BitMatrix:
+    """q from diag(q, 1)."""
+    assert m.words[-1] == 1 and not any(w & 1 for w in m.words[:-1])
+    return BitMatrix(m.rows - 1, m.rows - 1, tuple(w >> 1 for w in m.words[:-1]))
 
 
 def _factorize_from_spreading(P: AlgorithmSeq) -> FactorTuple:
@@ -136,8 +143,17 @@ def test_bordered_round_trip():
     m = _bordered(q)
     assert m.to_text() == "1100/0110/1010/0001"
     assert _unbordered(m) == q
-    with pytest.raises(RuntimeError):
-        _unbordered(BitMatrix.from_text("10/11"))
+
+
+def test_factorize_checks_the_border(monkeypatch):
+    """Given a wrong X^-1 for a member, the factors X^-1 * P_{0:i} lose
+    their border, and ``factorize`` says so instead of dropping it."""
+    P = sample_member(4, 1)
+    report, prefix, x, x_inv = factory._structure(P)
+    assert x_inv != identity(4)
+    monkeypatch.setattr(factory, "_structure", lambda _: (report, prefix, x, identity(4)))
+    with pytest.raises(RuntimeError, match="^internal error: factor matrix is not bordered$"):
+        factorize(P)
 
 
 def test_enumerate_members_n1():

@@ -9,10 +9,9 @@ from linwht.gf2 import (
     DimensionError,
     SingularError,
     _mul_bits,
-    _mul_words_int,
-    _mul_words_vec,
     _packed,
     _to_bits,
+    _words,
     identity,
     parity,
     reversal_matrix,
@@ -131,12 +130,26 @@ def test_apply_matches_entry_arithmetic(m, v):
         assert (got >> (m.rows - 1 - i)) & 1 == expected
 
 
-def test_vectorized_matmul_agrees_with_int_path():
-    rng = random.Random(5)
-    for n in (32, 48, 64):
-        a = tuple(rng.randrange(1 << n) for _ in range(n))
-        b = tuple(rng.randrange(1 << n) for _ in range(n))
-        assert _mul_words_int(a, b, n) == _mul_words_vec(a, b, n)
+@pytest.mark.parametrize(
+    "rows, inner, cols, ones",
+    [
+        (31, 64, 64, False),
+        (32, 32, 32, False),
+        (64, 64, 64, True),
+        (33, 64, 1, False),
+        (40, 40, 100, False),
+        (64, 64, 65, False),
+    ],
+)
+def test_matmul_against_naive_across_vector_switch(rows, inner, cols, ones):
+    """``@`` runs on the bit stack for rows and inner dimension 32..64 and
+    at most 64 output columns, and on int loops otherwise; both sides of
+    the switch, and an output wider than 64 columns, give the naive product."""
+    rng = random.Random(rows * inner + cols)
+    word = (lambda w: (1 << w) - 1) if ones else (lambda w: rng.randrange(1 << w))
+    a = BitMatrix(rows, inner, tuple(word(inner) for _ in range(rows)))
+    b = BitMatrix(inner, cols, tuple(word(cols) for _ in range(inner)))
+    assert (a @ b).to_lists() == naive_mul(a.to_lists(), b.to_lists())
 
 
 @st.composite
@@ -156,11 +169,12 @@ def word_stacks(draw):
 @example((64, [[0, (1 << 64) - 1, 1 << 63, 1]]))
 def test_bit_stack_round_trip(case):
     """``_to_bits`` puts a word's most significant bit in column 0, and
-    ``_packed`` gives back the same words from each matrix of the stack."""
+    ``_words`` and ``_packed`` give back the same words from the stack."""
     n, words = case
     bits = _to_bits(words, n)
     assert bits.shape == (len(words), len(words[0]), n)
     assert bits.tolist() == [[[(w >> (n - 1 - j)) & 1 for j in range(n)] for w in ws] for ws in words]
+    assert _words(bits) == words
     assert [_packed(b) for b in bits] == [BitMatrix(len(ws), n, tuple(ws)) for ws in words]
 
 

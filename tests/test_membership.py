@@ -327,7 +327,7 @@ def test_shared_pass_against_naive(n, kind, seed):
         assert x_inv.to_lists() == naive_inverse(x.to_lists())
     else:
         assert x_inv is None
-    rows = _claimed_rows(P, prefix).to_lists()
+    rows = _claimed_rows(P, prefix).tolist()
     e = [0] * (n - 1) + [1]
     for k in range(1, n + 1):
         assert naive_mul([rows[k - 1]], naive_prefix[n - k]) == [e]
