@@ -21,6 +21,22 @@ from .gf2 import BitMatrix, DimensionError, SingularError
 __all__ = ["AlgorithmSeq", "reversed_inverted"]
 
 
+def _check(m: BitMatrix, n: int, what: str) -> None:
+    """Raise unless m is an invertible n x n matrix; ``what`` names it in the error."""
+    if m.rows != n or m.cols != n:
+        raise DimensionError(f"{what} is {m.rows}x{m.cols}, expected {n}x{n}")
+    if (rank := m.rank()) != n:
+        raise SingularError(f"{what} is singular", rank)
+
+
+def _trusted(cls, **fields):
+    """A ``cls`` made without its ``__post_init__`` check, for values whose
+    maker has already proved them: a product of invertible matrices is one."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class AlgorithmSeq:
     """Immutable sequence of n+1 invertible n x n stage matrices."""
@@ -32,19 +48,11 @@ class AlgorithmSeq:
         if not 1 <= n <= N_MAX:
             raise DimensionError(f"an algorithm needs 2..{N_MAX + 1} stage matrices, got {n + 1}")
         for idx, m in enumerate(self.matrices):
-            if m.rows != n or m.cols != n:
-                raise DimensionError(
-                    f"stage matrix {idx} is {m.rows}x{m.cols}, expected {n}x{n}"
-                )
-            if (rank := m.rank()) != n:
-                raise SingularError(f"stage matrix {idx} is singular", rank)
+            _check(m, n, f"stage matrix {idx}")
 
     @property
     def n(self) -> int:
         return len(self.matrices) - 1
-
-    def __len__(self) -> int:
-        return len(self.matrices)
 
     def __getitem__(self, k: int) -> BitMatrix:
         return self.matrices[k]
@@ -59,4 +67,4 @@ class AlgorithmSeq:
 
 def reversed_inverted(P: AlgorithmSeq) -> AlgorithmSeq:
     """The sequence (P_n^-1, ..., P_0^-1), which computes the transpose map."""
-    return AlgorithmSeq(tuple(m.inverse() for m in reversed(P.matrices)))
+    return _trusted(AlgorithmSeq, matrices=tuple(m.inverse() for m in reversed(P.matrices)))

@@ -241,7 +241,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="print a named reference algorithm")
     p.add_argument("name", choices=sorted(CATALOG))
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--sequency", action="store_true", help="reorder output rows to sequency")
+    p.add_argument("--sequency", action="store_true", help="output rows in Paley (bit-reversed) order")
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("export-dot", help="render the dataflow as DOT")

@@ -29,9 +29,9 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .algorithm import AlgorithmSeq
+from .algorithm import AlgorithmSeq, _check, _trusted
 from .config import BIT_INDEX_ENUM_MAX, MEMBER_ENUM_MAX, N_MAX
-from .gf2 import BitMatrix, DimensionError, SingularError, _mul_bits, _to_bits, _words
+from .gf2 import BitMatrix, DimensionError, _mul_bits, _to_bits, _words
 from .groups import enumerate_gl, enumerate_perm, random_invertible
 from .membership import NotMemberError, _structure, check_membership
 from .oracle import evaluate, hadamard
@@ -57,19 +57,14 @@ class FactorTuple:
 
     def __post_init__(self):
         n = self.b.rows
-        if self.b.cols != n or n < 1:
-            raise DimensionError(f"B must be square of size >= 1, got {self.b.rows}x{self.b.cols}")
-        if (rank := self.b.rank()) != n:
-            raise SingularError(f"B is singular (rank {rank} of {n})", rank)
+        _check(self.b, n, "B")
         if len(self.qs) != n:
             raise DimensionError(f"need exactly {n} inner matrices, got {len(self.qs)}")
         for i, q in enumerate(self.qs, start=1):
-            if q.rows != n - 1 or q.cols != n - 1:
-                raise DimensionError(
-                    f"inner matrix {i} must be {n - 1}x{n - 1}, got {q.rows}x{q.cols}"
-                )
-            if (rank := q.rank()) != n - 1:
-                raise SingularError(f"inner matrix {i} is singular (rank {rank} of {n - 1})", rank)
+            _check(q, n - 1, f"inner matrix {i}")
+        # the size bound comes last, so a singular matrix raises SingularError at any n
+        if not 1 <= n <= N_MAX:
+            raise DimensionError(f"B is {n}x{n}, expected n x n with 1 <= n <= {N_MAX}")
 
     @property
     def n(self) -> int:
@@ -92,7 +87,7 @@ def build(f: FactorTuple) -> AlgorithmSeq:
     mats = [f.b @ d[0]]
     for q, d_next in zip(f.qs, d[1:]):
         mats.append(_bordered(q.inverse()) @ _shift_rows(d_next))
-    return AlgorithmSeq(tuple(mats))
+    return _trusted(AlgorithmSeq, matrices=tuple(mats))
 
 
 def factorize(P: AlgorithmSeq) -> FactorTuple:
@@ -114,7 +109,8 @@ def factorize(P: AlgorithmSeq) -> FactorTuple:
     e = at == n - 1
     if (d[:, -1] != e).any() or (d[:, :, -1] != e).any():
         raise RuntimeError("internal error: factor matrix is not bordered")
-    return FactorTuple(b, tuple(BitMatrix(n - 1, n - 1, tuple(q)) for q in _words(d[:, :-1, :-1])))
+    qs = tuple(BitMatrix(n - 1, n - 1, tuple(q)) for q in _words(d[:, :-1, :-1]))
+    return _trusted(FactorTuple, b=b, qs=qs)
 
 
 def sample_member(n: int, seed: Optional[int] = None) -> AlgorithmSeq:
@@ -124,7 +120,7 @@ def sample_member(n: int, seed: Optional[int] = None) -> AlgorithmSeq:
     rng = random.Random(seed)
     b = random_invertible(n, rng)
     qs = tuple(random_invertible(n - 1, rng) for _ in range(n))
-    return build(FactorTuple(b, qs))
+    return build(_trusted(FactorTuple, b=b, qs=qs))
 
 
 def _members(
@@ -135,7 +131,7 @@ def _members(
     inner = list(outer(n - 1))
     for b in outer(n):
         for qs in itertools.product(inner, repeat=n):
-            yield build(FactorTuple(b, qs))
+            yield build(_trusted(FactorTuple, b=b, qs=qs))
 
 
 def enumerate_members(n: int) -> Iterator[AlgorithmSeq]:

@@ -71,8 +71,6 @@ def random_invertible(n: int, rng: random.Random) -> BitMatrix:
     The acceptance rate converges to about 0.2888 as n grows, so the
     expected number of draws is under 4 for every n.
     """
-    if n == 0:
-        return BitMatrix(0, 0, ())
     while True:
         m = BitMatrix(n, n, tuple(rng.getrandbits(n) for _ in range(n)))
         if m.rank() == n:

@@ -172,10 +172,8 @@ def parse_factors(text: str) -> FactorTuple:
     b = sc.matrix(n, n, "matrix B")
     qs = []
     for k in range(1, n + 1):
-        if n == 1:
-            qs.append(BitMatrix(0, 0, ()))
-            continue
-        sc.expect(";")
+        if n > 1:  # at n = 1 each inner matrix is 0x0 and written as nothing
+            sc.expect(";")
         qs.append(sc.matrix(n - 1, n - 1, f"inner matrix {k}"))
     sc.finish("the factor matrices")
     return FactorTuple(b, tuple(qs))

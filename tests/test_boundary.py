@@ -6,13 +6,22 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linwht import AlgorithmSeq, FactorTuple, identity, pease, sample_member
+from linwht import (
+    AlgorithmSeq,
+    FactorTuple,
+    build,
+    find_counterexample,
+    identity,
+    iterative_ct,
+    pease,
+    sample_member,
+)
 from linwht.config import N_MAX
 from linwht.gf2 import BitMatrix, DimensionError, SingularError
 from linwht.groups import random_invertible
 from linwht.textio import ParseError, parse_document, parse_factors, parse_sequence
 
-from helpers import naive_rank
+from helpers import naive_rank, read_fixture
 
 HUGE_N = "n=" + "9" * 5000 + "; 1; 1"
 
@@ -22,6 +31,13 @@ def test_algorithm_seq_rejects_n_above_contract():
         AlgorithmSeq((identity(N_MAX + 1),) * (N_MAX + 2))
     with pytest.raises(DimensionError):
         pease(80)
+    # build trusts its FactorTuple, so the bound must hold there
+    with pytest.raises(DimensionError):
+        build(FactorTuple(identity(N_MAX + 1), (identity(N_MAX),) * (N_MAX + 1)))
+    with pytest.raises(DimensionError):
+        iterative_ct(N_MAX + 1)
+    with pytest.raises(DimensionError):
+        find_counterexample(N_MAX + 1, "product", budget=1)
     assert AlgorithmSeq((identity(N_MAX),) * (N_MAX + 1)).n == N_MAX
 
 
@@ -60,12 +76,23 @@ def test_factor_tuple_singular_carries_rank():
     with pytest.raises(SingularError) as e:
         FactorTuple(BitMatrix.from_text("11/11"), (identity(1), identity(1)))
     assert e.value.rank == 1
+    assert str(e.value) == "B is singular"
     with pytest.raises(SingularError) as e:
         FactorTuple(identity(3), (identity(2), BitMatrix.from_text("11/11"), identity(2)))
     assert e.value.rank == 1
+    assert str(e.value) == "inner matrix 2 is singular"
     with pytest.raises(SingularError) as e:
         parse_factors("n=1; 0")
     assert e.value.rank == 0
+    with pytest.raises(SingularError) as e:
+        parse_factors(read_fixture("singular_inner.factors"))
+    assert str(e.value) == "inner matrix 2 is singular"
+    with pytest.raises(DimensionError) as e:
+        FactorTuple(BitMatrix.from_text("100/010"), (identity(1), identity(1)))
+    assert str(e.value) == "B is 2x3, expected 2x2"
+    with pytest.raises(DimensionError) as e:
+        FactorTuple(BitMatrix(0, 0, ()), ())
+    assert str(e.value) == f"B is 0x0, expected n x n with 1 <= n <= {N_MAX}"
 
 
 def test_algorithm_seq_rejects_non_square_stage():

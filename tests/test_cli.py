@@ -134,8 +134,9 @@ def test_check_bad_later_input_prints_no_verdict(capsys, monkeypatch, argv):
             "",
             fixture("break_product_n3.alg"),
         ),
+        (("build", fixture("singular_inner.factors")), "", fixture("singular_inner.factors")),
     ],
-    ids=["unparsable", "singular-stdin", "oracle-too-big"],
+    ids=["unparsable", "singular-stdin", "oracle-too-big", "singular-factors"],
 )
 def test_check_error_names_the_file(capsys, monkeypatch, argv, stdin, named):
     monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))

@@ -20,7 +20,9 @@ from linwht import (
     iterative_ct,
     is_member,
     pease,
+    reversed_inverted,
     sample_member,
+    to_sequency,
 )
 from linwht.config import MEMBER_ENUM_MAX
 from linwht import factory
@@ -39,6 +41,21 @@ def random_factors(n: int, seed: int) -> FactorTuple:
         random_invertible(n, rng),
         tuple(random_invertible(n - 1, rng) for _ in range(n)),
     )
+
+
+def assert_trusted_values_pass_checks(n: int, seed: int) -> None:
+    """What build, reversed_inverted, to_sequency, factorize and sample_member make
+    without the constructor check equals, and hashes like, the same value checked."""
+    f = random_factors(n, seed)
+    P = build(f)
+    for Q in (P, reversed_inverted(P), to_sequency(P)):
+        checked = AlgorithmSeq(Q.matrices)
+        assert checked == Q and hash(checked) == hash(Q)
+    g = factorize(P)
+    checked = FactorTuple(g.b, g.qs)
+    assert checked == g and hash(checked) == hash(g)
+    # sample_member draws the tuple that random_factors draws from the same seed
+    assert sample_member(n, seed) == P
 
 
 def test_factor_tuple_validation():
@@ -106,6 +123,7 @@ def test_factorize_matches_spreading_construction(n, seed):
 def test_factorize_build_round_trip(n, seed):
     f = random_factors(n, seed)
     assert factorize(build(f)) == f
+    assert_trusted_values_pass_checks(n, seed)
 
 
 @settings(max_examples=30, deadline=None)
@@ -122,6 +140,7 @@ def test_round_trips_across_vector_product_threshold(n):
         assert build(factorize(P)).key() == P.key()
     f = random_factors(n, n)
     assert factorize(build(f)) == f
+    assert_trusted_values_pass_checks(n, n)
 
 
 def test_factorize_rejects_non_members():

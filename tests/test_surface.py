@@ -65,6 +65,7 @@ def test_removed_helpers_are_gone():
             "is_invertible",
         ),
         algorithm: ("seq_product",),
+        algorithm.AlgorithmSeq: ("__len__",),
         factory: ("_unbordered",),
         linwht: ("seq_product",),
         oracle: ("apply_linear_perm", "apply_butterfly_array", "SignedMatrix"),
