@@ -8,7 +8,8 @@ matrix diag(Q_i, 1)):
     P_i = D_i^{-1} * C * D_{i+1}      for 0 < i <= n, with D_{n+1} = B^T
 
 C only permutes rows: C * D is D with its rows moved up one place,
-cyclically, so ``build`` forms one product per stage.  ``factorize``
+cyclically, so ``build`` forms each P_i, i > 0, as one Gauss-Jordan
+division of C * D_{i+1} by D_i, and P_0 as one product.  ``factorize``
 inverts the construction; B comes back as the spreading matrix X of the
 sequence, and since P_{0:i} = B * C^i * D_{i+1},
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .algorithm import AlgorithmSeq, _check, _trusted
 from .config import BIT_INDEX_ENUM_MAX, MEMBER_ENUM_MAX, N_MAX
-from .gf2 import BitMatrix, DimensionError, _mul_bits, _to_bits, _words
+from .gf2 import BitMatrix, DimensionError, _mul_bits, _solve, _to_bits, _words
 from .groups import enumerate_gl, enumerate_perm, random_invertible
 from .membership import NotMemberError, _structure, check_membership
 from .oracle import evaluate, hadamard
@@ -77,16 +78,14 @@ def _bordered(q: BitMatrix) -> BitMatrix:
     return BitMatrix(n, n, tuple(w << 1 for w in q.words) + (1,))
 
 
-def _shift_rows(m: BitMatrix) -> BitMatrix:
-    """C * m: the rows of m moved up one place, cyclically."""
-    return BitMatrix(m.rows, m.cols, m.words[1:] + m.words[:1])
-
-
 def build(f: FactorTuple) -> AlgorithmSeq:
+    n = f.n
     d = [_bordered(q) for q in f.qs] + [f.b.transpose()]
     mats = [f.b @ d[0]]
-    for q, d_next in zip(f.qs, d[1:]):
-        mats.append(_bordered(q.inverse()) @ _shift_rows(d_next))
+    for d_i, d_next in zip(d, d[1:]):
+        # P_i = D_i^{-1} * (C * D_{i+1}), one division; C * D moves the rows of D up one place
+        c = d_next.words[1:] + d_next.words[:1]
+        mats.append(BitMatrix(n, n, _solve([(x << n) | y for x, y in zip(d_i.words, c)], n)))
     return _trusted(AlgorithmSeq, matrices=tuple(mats))
 
 

@@ -8,7 +8,7 @@ integers they encode: the packed form of the binary digits of ``i``
 (most significant bit on top) is ``i`` itself, and the vector
 ``(0, ..., 0, 1)`` is the integer ``1``.
 
-Elimination (``rank``, ``inverse``) works on all rows at once.  The
+Elimination (``rank``, ``_solve``) works on all rows at once.  The
 rows are packed into one int, row i in the slot of bits
 [i*w, (i+1)*w), and each pivot step is a few whole-int operations:
 ``sel = (big >> b) & live`` takes column b of every live row into the
@@ -17,9 +17,10 @@ low bit of its slot, the highest selected slot becomes the pivot (one
 ``big ^= (sel ^ pivot) * pivot_row`` clears column b from every other
 selected row.  The slots do not overlap, so the product has no carries,
 and a pivot step costs a handful of big-int operations instead of a
-Python loop over the rows.  ``inverse`` runs the same step on 2n-bit
-slots holding the row and the matching identity row side by side, and
-clears each column from every row, pivot rows included (Gauss-Jordan).
+Python loop over the rows.  ``_solve`` runs the same step on (n+m)-bit
+slots holding row r of [a | b], a n x n and b n x m, and clears each
+column of a from every row, pivot rows included (Gauss-Jordan), leaving
+a^-1 * b in the right parts; ``inverse`` solves with b the identity.
 
 Everything here is immutable and every operation returns a new value,
 so instances can be shared freely across threads.
@@ -41,11 +42,6 @@ __all__ = [
     "reversal_matrix",
     "parity",
 ]
-
-# Products with rows and inner dimension from this size up to 64, and at most 64
-# columns, run on the 0/1 bit stack; below it, int loops beat numpy dispatch.
-_VECTOR_MIN_DIM = 32
-
 
 class DimensionError(ValueError):
     """Operand shapes are incompatible."""
@@ -81,12 +77,6 @@ def _mul_words_int(a_words: Sequence[int], b_words: Sequence[int], inner: int) -
     return tuple(out)
 
 
-def _mul_words(a: BitMatrix, b: BitMatrix) -> tuple[int, ...]:
-    if _VECTOR_MIN_DIM <= a.cols <= 64 and b.cols <= 64 and a.rows >= _VECTOR_MIN_DIM:
-        return tuple(_words(_mul_bits(_to_bits(a.words, a.cols), _to_bits(b.words, b.cols))))
-    return _mul_words_int(a.words, b.words, a.cols)
-
-
 def _pack(words: Sequence[int], width: int) -> int:
     """All rows in one int: row i in bits [i*width, (i+1)*width)."""
     big = 0
@@ -98,6 +88,30 @@ def _pack(words: Sequence[int], width: int) -> int:
 def _slot_ones(slots: int, width: int) -> int:
     """Bit 0 of each of ``slots`` slots of ``width`` bits (a base-2^width repunit)."""
     return ((1 << (slots * width)) - 1) // ((1 << width) - 1)
+
+
+def _solve(rows: Sequence[int], m: int) -> tuple[int, ...]:
+    """Row words of a^-1 * b, from the n row words of [a | b] with a n x n,
+    n >= 1, and b n x m; raises SingularError with the rank of a on failure."""
+    n = len(rows)
+    s = n + m
+    big = _pack(rows, s)
+    live = every = _slot_ones(n, s)
+    mask = (1 << s) - 1
+    pivots = []
+    for b in range(s - 1, m - 1, -1):
+        sel = (big >> b) & every
+        cand = sel & live
+        if cand:
+            at = cand.bit_length() - 1
+            pivot = 1 << at
+            big ^= (sel ^ pivot) * ((big >> at) & mask)
+            live ^= pivot
+            pivots.append(at)
+    if (r := len(pivots)) < n:
+        raise SingularError(f"matrix of rank {r} < {n} is singular", r)
+    right = (1 << m) - 1
+    return tuple((big >> at) & right for at in pivots)
 
 
 @dataclass(frozen=True)
@@ -154,7 +168,7 @@ class BitMatrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return BitMatrix(self.rows, other.cols, _mul_words(self, other))
+        return BitMatrix(self.rows, other.cols, _mul_words_int(self.words, other.words, self.cols))
 
     def transpose(self) -> "BitMatrix":
         words = [0] * self.cols
@@ -202,27 +216,9 @@ class BitMatrix:
         n = self.cols
         if not n:
             return self
-        # Slot r holds (matrix row r << n) | identity row r.
-        s = 2 * n
-        big = _pack([(w << n) | (1 << (n - 1 - r)) for r, w in enumerate(self.words)], s)
-        every = _slot_ones(n, s)
-        live = every
-        mask = (1 << s) - 1
-        pivots = []
-        for b in range(s - 1, n - 1, -1):
-            sel = (big >> b) & every
-            cand = sel & live
-            if cand:
-                at = cand.bit_length() - 1
-                pivot = 1 << at
-                big ^= (sel ^ pivot) * ((big >> at) & mask)
-                live ^= pivot
-                pivots.append(at)
-        if len(pivots) < n:
-            r = len(pivots)
-            raise SingularError(f"matrix of rank {r} < {n} is singular", r)
-        right = (1 << n) - 1
-        return BitMatrix(n, n, tuple((big >> at) & right for at in pivots))
+        # slot r holds (matrix row r << n) | identity row r
+        rows = [(w << n) | (1 << (n - 1 - r)) for r, w in enumerate(self.words)]
+        return BitMatrix(n, n, _solve(rows, n))
 
 
 def _to_bits(words, n: int) -> np.ndarray:

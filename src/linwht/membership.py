@@ -32,8 +32,9 @@ from typing import Optional
 
 import numpy as np
 
-from .algorithm import AlgorithmSeq
-from .gf2 import BitMatrix, _mul_bits, _packed, _to_bits, parity
+from .algorithm import AlgorithmSeq, _trusted
+from .config import N_MAX
+from .gf2 import BitMatrix, DimensionError, _mul_bits, _packed, _to_bits, parity
 from .groups import random_invertible
 from .oracle import _guard
 
@@ -232,9 +233,12 @@ def find_counterexample(
         raise ValueError(f"which must be 'product' or 'inverse', got {which!r}")
     if n < 2:
         raise ValueError("no condition can fail at n = 1; need n >= 2")
+    if n > N_MAX:
+        raise DimensionError(f"n must be in 2..{N_MAX}, got {n}")
     rng = random.Random(seed)
     for _ in range(budget):
-        P = AlgorithmSeq(tuple(random_invertible(n, rng) for _ in range(n + 1)))
+        # random_invertible proves each stage, so the draw needs no re-check
+        P = _trusted(AlgorithmSeq, matrices=tuple(random_invertible(n, rng) for _ in range(n + 1)))
         r = check_membership(P)
         if which == "product" and r.cond_inverse and not r.cond_product:
             return P

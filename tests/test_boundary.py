@@ -16,6 +16,7 @@ from linwht import (
     pease,
     sample_member,
 )
+from linwht import membership
 from linwht.config import N_MAX
 from linwht.gf2 import BitMatrix, DimensionError, SingularError
 from linwht.groups import random_invertible
@@ -26,7 +27,7 @@ from helpers import naive_rank, read_fixture
 HUGE_N = "n=" + "9" * 5000 + "; 1; 1"
 
 
-def test_algorithm_seq_rejects_n_above_contract():
+def test_algorithm_seq_rejects_n_above_contract(monkeypatch):
     with pytest.raises(DimensionError):
         AlgorithmSeq((identity(N_MAX + 1),) * (N_MAX + 2))
     with pytest.raises(DimensionError):
@@ -38,6 +39,16 @@ def test_algorithm_seq_rejects_n_above_contract():
         iterative_ct(N_MAX + 1)
     with pytest.raises(DimensionError):
         find_counterexample(N_MAX + 1, "product", budget=1)
+    # the search bounds n before it draws, whatever the budget
+    with pytest.raises(DimensionError):
+        find_counterexample(N_MAX + 1, "product", budget=0)
+    draws = []
+    monkeypatch.setattr(
+        membership, "random_invertible", lambda n, rng: draws.append(n) or random_invertible(n, rng)
+    )
+    with pytest.raises(DimensionError):
+        find_counterexample(N_MAX + 1, "inverse", budget=5)
+    assert draws == []
     assert AlgorithmSeq((identity(N_MAX),) * (N_MAX + 1)).n == N_MAX
 
 

@@ -135,7 +135,8 @@ def test_build_factorize_round_trip(n, seed):
 
 @pytest.mark.parametrize("n", [31, 32, 33, 64])
 def test_round_trips_across_vector_product_threshold(n):
-    """Stage products switch to numpy at gf2._VECTOR_MIN_DIM = 32."""
+    """Sizes on both sides of 32, where ``@`` once switched to numpy, and the
+    top size; build divides on (2n)-bit slots and factorize uses the bit stack."""
     for P in (sample_member(n, n), pease(n), iterative_ct(n)):
         assert build(factorize(P)).key() == P.key()
     f = random_factors(n, n)

@@ -10,6 +10,7 @@ from linwht.gf2 import (
     SingularError,
     _mul_bits,
     _packed,
+    _solve,
     _to_bits,
     _words,
     identity,
@@ -142,9 +143,9 @@ def test_apply_matches_entry_arithmetic(m, v):
     ],
 )
 def test_matmul_against_naive_across_vector_switch(rows, inner, cols, ones):
-    """``@`` runs on the bit stack for rows and inner dimension 32..64 and
-    at most 64 output columns, and on int loops otherwise; both sides of
-    the switch, and an output wider than 64 columns, give the naive product."""
+    """``@`` runs one int loop at every size; shapes around 32 and 64 rows,
+    inner dimensions and columns, and outputs wider than 64 columns, give
+    the naive product."""
     rng = random.Random(rows * inner + cols)
     word = (lambda w: (1 << w) - 1) if ones else (lambda w: rng.randrange(1 << w))
     a = BitMatrix(rows, inner, tuple(word(inner) for _ in range(rows)))
@@ -237,22 +238,30 @@ def test_packed_rank_against_naive_wide(m):
     wide_matrices(square=True),
     st.tuples(st.integers(1, 64), st.integers(0, 2**31)).map(
         lambda t: random_invertible(t[0], random.Random(t[1]))),
-))
-@example(_seeded(64, 64, 4))
-@example(random_invertible(64, random.Random(5)))
-def test_packed_inverse_against_naive_wide(m):
-    """Either a two-sided inverse, equal to the textbook one, or
-    SingularError carrying the rank."""
+), st.integers(0, 65), st.integers(0, 2**31))
+@example(_seeded(64, 64, 4), 65, 6)
+@example(random_invertible(64, random.Random(5)), 0, 7)
+@example(random_invertible(64, random.Random(8)), 65, 9)
+def test_packed_inverse_against_naive_wide(m, width, seed):
+    """Either a two-sided inverse, equal to the textbook one, and ``_solve``
+    of [m | b] equal to the textbook m^-1 * b for a right side b of 0..65
+    columns, or SingularError carrying the rank from both."""
+    b = _seeded(m.rows, width, seed)
+    rows = [(x << width) | y for x, y in zip(m.words, b.words)]
     rank = naive_rank(m.to_lists())
     if rank < m.rows:
-        with pytest.raises(SingularError) as e:
-            m.inverse()
-        assert e.value.rank == rank
-        assert str(e.value) == f"matrix of rank {rank} < {m.rows} is singular"
+        for divide in (m.inverse, lambda: _solve(rows, width)):
+            with pytest.raises(SingularError) as e:
+                divide()
+            assert e.value.rank == rank
+            assert str(e.value) == f"matrix of rank {rank} < {m.rows} is singular"
         return
     inv = m.inverse()
     assert m @ inv == identity(m.rows) == inv @ m
-    assert inv.to_lists() == naive_inverse(m.to_lists())
+    textbook = naive_inverse(m.to_lists())
+    assert inv.to_lists() == textbook
+    quotient = BitMatrix(m.rows, width, _solve(rows, width))
+    assert quotient.to_lists() == naive_mul(textbook, b.to_lists())
 
 
 @pytest.mark.parametrize("n", [2, 31, 32, 33, 63, 64])

@@ -59,14 +59,14 @@ def test_every_public_name_resolves_once():
 def test_removed_helpers_are_gone():
     removed = {
         groups: ("split_counts", "sample_gl"),
-        gf2: ("int_to_bits", "bits_to_int", "_mul_words_vec"),
+        gf2: ("int_to_bits", "bits_to_int", "_mul_words_vec", "_mul_words", "_VECTOR_MIN_DIM"),
         BitMatrix: (
             "from_rows", "from_cols", "entry", "__add__", "is_square", "is_permutation",
             "is_invertible",
         ),
         algorithm: ("seq_product",),
         algorithm.AlgorithmSeq: ("__len__",),
-        factory: ("_unbordered",),
+        factory: ("_unbordered", "_shift_rows"),
         linwht: ("seq_product",),
         oracle: ("apply_linear_perm", "apply_butterfly_array", "SignedMatrix"),
     }
