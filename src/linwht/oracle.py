@@ -2,12 +2,13 @@
 
 One executor runs a stage sequence on data.  Stage k moves row i to row
 P_k i and then adds and subtracts the row pairs (2j, 2j+1); ``_run``
-does both in one pass, as a gather through the inverse of the index
-table followed by the butterfly.  The gather tables are built once per
-call.  The trailing axes of the data are flattened into columns, and
-all stages run on one column panel of about ``_PANEL_BYTES`` before
-the next panel starts, so a panel's stages stay in the L2 cache however
-large the whole matrix is.
+does both in one pass, a gather and then the butterfly.  Rows are held
+in split order, row j holding natural row C j (C the bit rotation), so
+each gather table is the index table of an n x n map, and one
+``perm_indices`` call builds them all.  The trailing axes of the data
+are flattened into columns, and all stages run on one column panel of
+about ``_PANEL_BYTES`` before the next panel starts, so a panel's
+stages stay in the L2 cache however large the whole matrix is.
 
 ``transform`` runs an algorithm on any array of 2^n rows, in its dtype.
 ``evaluate`` runs it on the identity and so materialises the full
@@ -31,7 +32,7 @@ import numpy as np
 
 from .algorithm import AlgorithmSeq
 from .config import SizeLimitError, active_limits
-from .gf2 import BitMatrix, DimensionError
+from .gf2 import DimensionError, _solve
 
 __all__ = [
     "DependencySets",
@@ -70,16 +71,16 @@ def hadamard(n: int) -> np.ndarray:
     return h
 
 
-def perm_indices(q: BitMatrix) -> np.ndarray:
-    """Destination table of the index permutation i -> q*i.  q must be a
-    stage of an ``AlgorithmSeq``, which has proved it invertible."""
-    size = 1 << q.rows
-    idx = np.zeros(size, dtype=np.intp)
-    h = 1
-    while h < size:
-        # q*(h + i) = q*h ^ q*i for i < h
-        idx[h : 2 * h] = idx[:h] ^ q.apply(h)
-        h <<= 1
+def perm_indices(maps, n: int) -> np.ndarray:
+    """Index tables of n x n maps given as row words, built together by
+    doubling: row r of the result holds maps[r]*i at column i.  The maps
+    are invertible by construction, so each row is a permutation."""
+    words = np.array(maps, dtype=np.intp)[:, :, None]
+    # images[:, b] = q*2^b, column n-1-b of q read as an index
+    images = (((words >> np.arange(n)) & 1) << np.arange(n - 1, -1, -1)[:, None]).sum(axis=1)
+    idx = np.zeros((len(maps), 1 << n), dtype=np.intp)
+    for b in range(n):  # q*(2^b + i) = q*2^b ^ q*i for i < 2^b
+        np.bitwise_xor(idx[:, : 1 << b], images[:, b : b + 1], out=idx[:, 1 << b : 2 << b])
     return idx
 
 
@@ -102,24 +103,23 @@ def _run(P: AlgorithmSeq, first: int, x: np.ndarray | None, final_perm: bool) ->
 
     Between stages the rows are held in split order: the sum of pair j
     at row j and the difference at row 2^(n-1) + j, so that both halves
-    of a butterfly are contiguous.  Each gather table reads the previous
-    stage's rows in that order, and the last scatter undoes it.
+    of a butterfly are contiguous; row j holds natural row C j, C =
+    ``rotation_matrix(n)``.  Each table is the index table of an n x n
+    map: stage k gathers through C^-1 P_k^-1 C (P_n^-1 C from natural
+    order), and the last scatter sends row j to P_0 C j.
     """
     n = P.n
     size = 1 << n
     half = size >> 1
-    natural = np.arange(size)
-    split_row = (natural >> 1) | ((natural & 1) << (n - 1))
-    split_order = np.concatenate((natural[0::2], natural[1::2]))
-    held_at = natural  # row where each natural-order row of the input is held
-    tables = []
+    rot = [1 << (n - 2 - r) for r in range(n - 1)] + [1 << (n - 1)]  # rows of C
+    maps = []
     for k in range(n, first - 1, -1):
-        gather = np.empty_like(natural)
-        gather[perm_indices(P[k])] = held_at
-        tables.append(gather[split_order])
-        held_at = split_row
-    dest = np.empty_like(natural)
-    dest[held_at] = perm_indices(P[0]) if final_perm else natural
+        m = _solve([(w << n) | c for w, c in zip(P[k].words, rot)], n)  # P_k^-1 C
+        maps.append(m if k == n else m[-1:] + m[:-1])  # C^-1 moves the rows down
+    final = P[0].words if final_perm else [1 << (n - 1 - r) for r in range(n)]
+    if maps:  # Q C turns each row word of Q right
+        final = [(w >> 1) | ((w & 1) << (n - 1)) for w in final]
+    *tables, dest = perm_indices(maps + [final], n)
 
     if x is None:
         dtype = _working_dtype(n)
@@ -139,7 +139,7 @@ def _run(P: AlgorithmSeq, first: int, x: np.ndarray | None, final_perm: bool) ->
         s = staged[: size * w].reshape(size, w)
         if x is None:
             s.fill(0)
-            s[natural[c0 : c0 + w], natural[:w]] = 1
+            staged[c0 * w : (c0 + w) * w : w + 1] = 1  # s[c0 + j, j] for j < w
             m = s
         else:
             m = cols[:, c0 : c0 + w]
@@ -158,7 +158,7 @@ def transform(P: AlgorithmSeq, x) -> np.ndarray:
 
     Equals ``evaluate(P)`` times x, computed in ``x.dtype`` without
     forming the matrix; integer dtypes wrap on overflow.  Besides the
-    output it holds about n+4 index tables of 2^n entries and two panel
+    output it holds n+1 index tables of 2^n entries and two panel
     buffers, so only the shape is checked, not the size guard.
     """
     x = np.asarray(x)

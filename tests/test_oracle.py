@@ -71,11 +71,14 @@ def test_hadamard_equals_kron_product(n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 12), st.integers(0, 2**30))
-def test_perm_indices_matches_apply(n, seed):
-    q = random_invertible(n, random.Random(seed))
-    idx = perm_indices(q)
-    assert idx.tolist() == [q.apply(i) for i in range(1 << n)]
+@given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**30))
+def test_perm_indices_matches_apply(n, count, seed):
+    rng = random.Random(seed)
+    qs = [random_invertible(n, rng) for _ in range(count)]
+    idx = perm_indices([q.words for q in qs], n)
+    assert idx.shape == (count, 1 << n) and idx.dtype == np.intp
+    for q, row in zip(qs, idx):
+        assert row.tolist() == [q.apply(i) for i in range(1 << n)]
 
 
 @settings(max_examples=30)
@@ -83,7 +86,8 @@ def test_perm_indices_matches_apply(n, seed):
 def test_linear_perm_composition(n, s1, s2):
     q = random_invertible(n, random.Random(s1))
     r = random_invertible(n, random.Random(s2))
-    assert (perm_indices(q @ r) == perm_indices(q)[perm_indices(r)]).all()
+    pq, pr, pqr = perm_indices([q.words, r.words, (q @ r).words], n)
+    assert (pqr == pq[pr]).all()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -349,3 +353,20 @@ def test_evaluate_never_forms_the_identity():
     finally:
         tracemalloc.stop()
     assert peak <= w.nbytes + 2 * 2**20
+
+
+def test_transform_holds_n_plus_2_tables():
+    """Beside its output and two panel buffers, ``transform`` holds the
+    n+1 tables of one ``perm_indices`` call and less than one more."""
+    n = 16
+    size = 1 << n
+    x = np.random.default_rng(0).standard_normal(size)
+    P = sample_member(n, 3)
+    width = max(1, _PANEL_BYTES // (size * 8))
+    tracemalloc.start()
+    try:
+        y = transform(P, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= y.nbytes + 2 * size * width * 8 + (n + 2) * size * 8
