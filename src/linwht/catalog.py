@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .algorithm import AlgorithmSeq, _trusted, reversed_inverted
-from .gf2 import BitMatrix, identity, reversal_matrix, rotation_matrix
+from .gf2 import BitMatrix, identity, rotation_matrix
 from .membership import NotMemberError, is_member
 
 __all__ = [
@@ -56,15 +56,15 @@ def iterative_ct(n: int) -> AlgorithmSeq:
 
 
 def to_sequency(P: AlgorithmSeq) -> AlgorithmSeq:
-    """Left-multiply P_0 by the bit reversal: the output rows go from natural
-    to bit-reversed (Paley, dyadic) order, which despite the name is not sequency order.
+    """Left-multiply P_0 by the bit reversal J, which only reverses the order of P_0's rows:
+    the output rows go from natural to bit-reversed (Paley, dyadic) order, which despite
+    the name is not sequency order.
 
     Accepts members and outputs of a previous ``to_sequency`` call (the
     bit-reversal squares to the identity, so applying this twice returns
     the original sequence).
     """
-    j = reversal_matrix(P.n)
-    twisted = _trusted(AlgorithmSeq, matrices=(j @ P[0],) + P.matrices[1:])
+    twisted = _trusted(AlgorithmSeq, matrices=(BitMatrix(P.n, P.n, P[0].words[::-1]),) + P.matrices[1:])
     if not (is_member(P) or is_member(twisted)):
         raise NotMemberError("sequence is neither a member nor a sequency reordering of one")
     return twisted

@@ -1,10 +1,11 @@
-"""Command line front end.  Exit codes: 0 success, 1 failed check, 2 bad input."""
+"""Command line front end.  Exit codes: 0 success, 1 failed check, 2 bad input, 141 stdout closed."""
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-import time
+import timeit
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
@@ -49,12 +50,12 @@ __all__ = ["main"]
 
 
 @contextmanager
-def _naming(path: str):
-    """A parse, validation, size or allocation error raised inside names the file."""
+def _naming(source: str):
+    """A parse, validation, size or allocation error raised inside names its source, a file or option."""
     try:
         yield
     except (ValueError, MemoryError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"{source}: {exc}") from exc
 
 
 def _load(path: str, parse=parse_document):
@@ -121,8 +122,7 @@ def _cmd_enumerate(args) -> int:
         source(args.n),
         args.n,
         dedupe=args.dedupe,
-        verify=args.verify_oracle,
-        verify_oracle=args.verify_oracle,
+        verify="oracle" if args.verify_oracle else None,
         emit=lambda P: print(_format_row(P, table)),
     )
     summary = f"# raw={survey.raw}"
@@ -174,14 +174,13 @@ def _cmd_export_dot(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [_check_size(int(s)) for s in args.sizes.split(",") if s]
+    with _naming(f"--sizes {args.sizes!r}"):
+        sizes = [_check_size(int(s)) for s in args.sizes.split(",") if s]
     if args.repeat < 1:
         raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
     for n in sizes:
         P = sample_member(n, seed=n)
-        best = min(
-            _timed(check_membership, P) for _ in range(args.repeat)
-        )
+        best = min(timeit.repeat(lambda: check_membership(P), number=1, repeat=args.repeat))
         print(f"n={n} min_ms={best * 1e3:.3f}")
     guard = active_limits().oracle_max_n
     try:
@@ -190,12 +189,6 @@ def _cmd_bench(args) -> int:
     except SizeLimitError:
         print(f"oracle refused n={guard + 1} (limit {guard})")
     return 0
-
-
-def _timed(fn, *fn_args) -> float:
-    t0 = time.perf_counter()
-    fn(*fn_args)
-    return time.perf_counter() - t0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -270,6 +263,12 @@ def main(argv=None) -> int:
     except NotMemberError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ParseError, SizeLimitError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -32,7 +32,7 @@ import numpy as np
 
 from .algorithm import AlgorithmSeq, _check, _trusted
 from .config import BIT_INDEX_ENUM_MAX, MEMBER_ENUM_MAX, N_MAX
-from .gf2 import BitMatrix, DimensionError, _mul_bits, _solve, _to_bits, _words
+from .gf2 import BitMatrix, DimensionError, _mul_bits, _mul_words_int, _solve, _to_bits, _words
 from .groups import enumerate_gl, enumerate_perm, random_invertible
 from .membership import NotMemberError, _structure, check_membership
 from .oracle import evaluate, hadamard
@@ -72,20 +72,15 @@ class FactorTuple:
         return self.b.rows
 
 
-def _bordered(q: BitMatrix) -> BitMatrix:
-    """diag(q, 1): pad with a final row and column equal to e_n."""
-    n = q.rows + 1
-    return BitMatrix(n, n, tuple(w << 1 for w in q.words) + (1,))
-
-
 def build(f: FactorTuple) -> AlgorithmSeq:
     n = f.n
-    d = [_bordered(q) for q in f.qs] + [f.b.transpose()]
-    mats = [f.b @ d[0]]
+    # row words of D_i = diag(Q_i, 1): each row of Q_i with a 0 appended, then e_n; D_{n+1} = B^T
+    d = [tuple(w << 1 for w in q.words) + (1,) for q in f.qs] + [f.b.transpose().words]
+    mats = [BitMatrix(n, n, _mul_words_int(f.b.words, d[0], n))]
     for d_i, d_next in zip(d, d[1:]):
         # P_i = D_i^{-1} * (C * D_{i+1}), one division; C * D moves the rows of D up one place
-        c = d_next.words[1:] + d_next.words[:1]
-        mats.append(BitMatrix(n, n, _solve([(x << n) | y for x, y in zip(d_i.words, c)], n)))
+        c = d_next[1:] + d_next[:1]
+        mats.append(BitMatrix(n, n, _solve([(x << n) | y for x, y in zip(d_i, c)], n)))
     return _trusted(AlgorithmSeq, matrices=tuple(mats))
 
 
@@ -154,17 +149,18 @@ def census(
     members: Iterable[AlgorithmSeq],
     n: int,
     dedupe: bool = True,
-    verify: bool = True,
-    verify_oracle: bool = False,
+    verify: Optional[str] = "fast",
     emit: Callable[[AlgorithmSeq], None] = lambda P: None,
 ) -> MemberSurvey:
     """Count the members, drop repeated keys, verify and emit the rest.
 
-    Verification runs the fast structural check; with ``verify_oracle``
-    it also compares the computed matrix entrywise against the
-    transform.  Without ``dedupe`` every member counts as distinct.
+    ``verify`` is None, "fast" (the structural check) or "oracle" (that check,
+    then the computed matrix against the transform, entrywise).  Without
+    ``dedupe`` every member counts as distinct.
     """
-    reference = hadamard(n) if verify and verify_oracle else None
+    if verify not in (None, "fast", "oracle"):
+        raise ValueError(f"verify must be None, 'fast' or 'oracle', got {verify!r}")
+    reference = hadamard(n) if verify == "oracle" else None
     raw = 0
     verified = 0
     seen: set[str] = set()
@@ -186,4 +182,4 @@ def census(
 
 def survey_members(n: int, verify_oracle: bool = False) -> MemberSurvey:
     """Enumerate every member at size n and verify each distinct one."""
-    return census(enumerate_members(n), n, verify_oracle=verify_oracle)
+    return census(enumerate_members(n), n, verify="oracle" if verify_oracle else "fast")

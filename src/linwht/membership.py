@@ -34,7 +34,7 @@ import numpy as np
 
 from .algorithm import AlgorithmSeq, _trusted
 from .config import N_MAX
-from .gf2 import BitMatrix, DimensionError, _mul_bits, _packed, _to_bits, parity
+from .gf2 import BitMatrix, DimensionError, SingularError, _mul_bits, _packed, _to_bits, parity
 from .groups import random_invertible
 from .oracle import _guard
 
@@ -105,23 +105,26 @@ def _structure(P: AlgorithmSeq) -> tuple[CheckReport, np.ndarray, BitMatrix, Opt
     """The report, the prefix products P_{0:0..n} as an (n+1, n, n) 0/1 stack, X
     and X^{-1} (None if X is singular).  Products are ``_mul_bits``; the inverse
     condition's n row products are one uint8 einsum, exact as no sum exceeds 64.
-    Only X is packed, for ``rank`` then ``inverse`` (a failed one costs 2x a rank)."""
+    Only X is packed, for one ``inverse``: most passes check members, whose X is
+    invertible, so a singular X's rank comes from the ``SingularError``."""
     n = P.n
     prefix = _chain(_to_bits([m.words for m in P.matrices], n))
     # row c of X^T is the last column of P_{0:n-1-c}
     xt = prefix[n - 1 :: -1, :, n - 1]
     x = _packed(xt.T)
-    rank_x = x.rank()
-    x_invertible = rank_x == n
     bad_product = _first_set_row(_mul_bits(xt.T, xt) != prefix[n])
 
     x_inv = bad_inverse = None
-    if x_invertible:
+    try:
         x_inv = x.inverse()
+    except SingularError as exc:
+        rank_x = exc.rank
+    else:
         # row k of X^-1 is the bottom row of P_{0:n-k}^-1 exactly when
         # it times P_{0:n-k} is e^T
         rows = np.einsum("kj,kjc->kc", _to_bits(x_inv.words, n), prefix[n - 1 :: -1]) & 1
         bad_inverse = _first_set_row(rows != (np.arange(n) == n - 1))
+    x_invertible = x_inv is not None
 
     cond_product = bad_product is None
     cond_inverse = x_invertible and bad_inverse is None

@@ -183,14 +183,17 @@ def twisted_member(n: int, rng: random.Random) -> AlgorithmSeq:
     return AlgorithmSeq((a @ P[0],) + P.matrices[1:])
 
 
-def forced_singular_sequence(n: int, rng: random.Random) -> AlgorithmSeq:
-    """Random sequence whose P_1 fixes the last basis vector, which forces
-    two equal columns in the spreading matrix."""
-    inner = random_invertible(n - 1, rng)
-    row = rng.randrange(1 << (n - 1))
-    p1 = BitMatrix(n, n, tuple(w << 1 for w in inner.words) + ((row << 1) | 1,))
-    mats = [random_invertible(n, rng), p1]
-    mats += [random_invertible(n, rng) for _ in range(n - 1)]
+def forced_singular_sequence(n: int, rng: random.Random, fixed: int = 1) -> AlgorithmSeq:
+    """Random sequence whose P_1..P_fixed (1 <= fixed < n) fix the last basis
+    vector, which forces fixed + 1 equal columns in the spreading matrix, so
+    its rank is at most n - fixed."""
+    fixers = []
+    for _ in range(fixed):
+        inner = random_invertible(n - 1, rng)
+        row = rng.randrange(1 << (n - 1))
+        fixers.append(BitMatrix(n, n, tuple(w << 1 for w in inner.words) + ((row << 1) | 1,)))
+    mats = [random_invertible(n, rng)] + fixers
+    mats += [random_invertible(n, rng) for _ in range(n - fixed)]
     return AlgorithmSeq(tuple(mats))
 
 

@@ -199,6 +199,7 @@ def test_count_exact_past_int_str_limit(capsys, n):
         ("bench", "--repeat", "0"),
         ("bench", "--sizes", "4,65"),
         ("bench", "--sizes", "0"),
+        ("bench", "--sizes", "a"),
     ],
 )
 def test_bad_sizes_exit_2_before_any_output(capsys, argv):
@@ -206,6 +207,12 @@ def test_bad_sizes_exit_2_before_any_output(capsys, argv):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_bench_sizes_error_names_the_option_and_item(capsys):
+    code, out, err = run_cli(capsys, "bench", "--sizes", "4,a")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --sizes '4,a': ") and err.rstrip().endswith("'a'")
 
 
 def test_count_table_script_past_int_str_limit():
@@ -391,6 +398,23 @@ def test_usage_errors(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys, "count")[0] == 2
     assert run_cli(capsys)[0] == 2
+
+
+def test_closed_stdout_exits_141_quietly():
+    """A reader that stops early (``wht enumerate -n 3 | head -1``) ends the
+    run with the shell's SIGPIPE status and nothing on stderr."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "linwht.cli", "enumerate", "-n", "3"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.stdout.readline().startswith(b"n=3; ")
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_console_script_subprocess():

@@ -26,7 +26,7 @@ from linwht import (
 )
 from linwht.config import MEMBER_ENUM_MAX
 from linwht import factory
-from linwht.factory import _bordered, survey_members
+from linwht.factory import census, survey_members
 from linwht.gf2 import BitMatrix, DimensionError, SingularError, rotation_matrix
 from linwht.groups import count_bit_index_algorithms, random_invertible
 from linwht.membership import spreading_matrix
@@ -158,13 +158,6 @@ def test_factor_fixture_builds_constant_geometry():
     assert len(set(f.qs)) == 1
 
 
-def test_bordered_round_trip():
-    q = BitMatrix.from_text("110/011/101")
-    m = _bordered(q)
-    assert m.to_text() == "1100/0110/1010/0001"
-    assert _unbordered(m) == q
-
-
 def test_factorize_checks_the_border(monkeypatch):
     """Given a wrong X^-1 for a member, the factors X^-1 * P_{0:i} lose
     their border, and ``factorize`` says so instead of dropping it."""
@@ -205,6 +198,20 @@ def test_enumerate_members_bounds():
 def test_survey_n2():
     s = survey_members(2, verify_oracle=True)
     assert (s.raw, s.distinct, s.verified) == (6, 6, 6)
+
+
+@pytest.mark.parametrize("verify,verified", [(None, 0), ("fast", 6), ("oracle", 6)])
+def test_census_verify_setting(verify, verified):
+    """One setting picks no verification, the fast check, or the fast check plus the
+    oracle; a sequence that fails the check counts as seen but not as verified."""
+    members = list(enumerate_members(2)) + [pease(2), AlgorithmSeq((identity(2),) * 3)]
+    s = census(members, 2, verify=verify)
+    assert (s.raw, s.distinct, s.verified) == (8, 7, verified)
+
+
+def test_census_rejects_unknown_verify_setting():
+    with pytest.raises(ValueError, match="verify must be None, 'fast' or 'oracle', got 'Oracle'"):
+        census(enumerate_members(2), 2, verify="Oracle")
 
 
 @pytest.mark.parametrize("n,expected", [(1, 1), (2, 2), (3, 48)])

@@ -127,6 +127,22 @@ def test_singular_spreading_witness():
     assert "singular" in r.witness
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10), st.integers(1, 9), st.integers(0, 2**30))
+@example(33, 1, 4)
+@example(33, 7, 5)
+@example(64, 1, 4)
+@example(64, 9, 6)
+def test_singular_witness_reports_the_rank(n, fixed, seed):
+    """The singular-X witness prints the rank that the failed inversion of X
+    reached, which is the rank of X."""
+    P = forced_singular_sequence(n, random.Random(seed), min(fixed, n - 1))
+    r = check_membership(P)
+    rank = naive_rank(naive_spreading(P))
+    assert rank < n
+    assert r.witness == f"spreading matrix is singular (rank {rank} of {n})"
+
+
 def test_identity_sequence_fails():
     # all stage products fix the last basis vector, so every column of X is e
     P = AlgorithmSeq((identity(2),) * 3)

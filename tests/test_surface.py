@@ -66,7 +66,7 @@ def test_removed_helpers_are_gone():
         ),
         algorithm: ("seq_product",),
         algorithm.AlgorithmSeq: ("__len__",),
-        factory: ("_unbordered", "_shift_rows"),
+        factory: ("_unbordered", "_shift_rows", "_bordered"),
         linwht: ("seq_product",),
         oracle: ("apply_linear_perm", "apply_butterfly_array", "SignedMatrix"),
     }
