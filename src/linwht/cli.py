@@ -178,16 +178,22 @@ def _cmd_bench(args) -> int:
         sizes = [_check_size(int(s)) for s in args.sizes.split(",") if s]
     if args.repeat < 1:
         raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
-    for n in sizes:
-        P = sample_member(n, seed=n)
-        best = min(timeit.repeat(lambda: check_membership(P), number=1, repeat=args.repeat))
-        print(f"n={n} min_ms={best * 1e3:.3f}")
+
+    def best_ms(op) -> str:
+        return f"{min(timeit.repeat(op, number=1, repeat=args.repeat)) * 1e3:.3f}"
+    members = [(n, sample_member(n, seed=n)) for n in sizes]
+    for n, P in members:
+        print(f"n={n} min_ms={best_ms(lambda: check_membership(P))}")
     guard = active_limits().oracle_max_n
     try:
         hadamard(guard + 1)
         print(f"oracle accepted n={guard + 1}, guard not active")
     except SizeLimitError:
         print(f"oracle refused n={guard + 1} (limit {guard})")
+    for n, P in members:
+        f = factorize(P)
+        print(f"n={n} sample_ms={best_ms(lambda: sample_member(n, seed=n))} "
+              f"build_ms={best_ms(lambda: build(f))} factorize_ms={best_ms(lambda: factorize(P))}")
     return 0
 
 
@@ -242,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_export_dot)
 
-    p = sub.add_parser("bench", help="time the fast check across sizes")
+    p = sub.add_parser("bench", help="time the fast check, sampling, build and factorize across sizes")
     p.add_argument("--sizes", default="3,4,8,16,32,64")
     p.add_argument("--repeat", type=int, default=5)
     p.set_defaults(func=_cmd_bench)

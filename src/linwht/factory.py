@@ -8,17 +8,16 @@ matrix diag(Q_i, 1)):
     P_i = D_i^{-1} * C * D_{i+1}      for 0 < i <= n, with D_{n+1} = B^T
 
 C only permutes rows: C * D is D with its rows moved up one place,
-cyclically, so ``build`` forms each P_i, i > 0, as one Gauss-Jordan
-division of C * D_{i+1} by D_i, and P_0 as one product.  ``factorize``
+cyclically, so P_i, i > 0, is the quotient of C * D_{i+1} by D_i and P_0
+one product; ``build``, and the enumerations for all members that share
+a B, form every quotient in one stack elimination.  ``factorize``
 inverts the construction; B comes back as the spreading matrix X of the
 sequence, and since P_{0:i} = B * C^i * D_{i+1},
 
-    D_{i+1} = C^{-i} * X^{-1} * P_{0:i},
+    D_{i+1} = C^{-i} * X^{-1} * P_{0:i}.
 
-one parity product with the structural pass's prefix product per stage,
-into one 0/1 stack, then one gather for the row shifts C^{-i}, one border
-check and one pack of the Q_i.  The map is injective, so member counts
-equal parameter counts: |GL_n| * |GL_{n-1}|^n.
+The map is injective, so member counts equal parameter counts:
+|GL_n| * |GL_{n-1}|^n.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ import numpy as np
 
 from .algorithm import AlgorithmSeq, _check, _trusted
 from .config import BIT_INDEX_ENUM_MAX, MEMBER_ENUM_MAX, N_MAX
-from .gf2 import BitMatrix, DimensionError, _mul_bits, _mul_words_int, _solve, _to_bits, _words
-from .groups import enumerate_gl, enumerate_perm, random_invertible
+from .gf2 import BitMatrix, DimensionError, _eliminate, _mul_bits, _mul_words_int, _to_bits, _words
+from .groups import _random_invertibles, enumerate_gl, enumerate_perm, random_invertible
 from .membership import NotMemberError, _structure, check_membership
 from .oracle import evaluate, hadamard
 
@@ -72,16 +71,23 @@ class FactorTuple:
         return self.b.rows
 
 
+def _built(b: BitMatrix, qs: list) -> list[AlgorithmSeq]:
+    """The members (B, Q_1..Q_n), Q_i row words in ``qs``, all divisions in one stack elimination."""
+    n, count = b.rows, len(qs)
+    # D_i = diag(Q_i, 1): each row of Q_i with a 0 appended, then e_n; D_{n+1} = B^T
+    d = np.empty((count, n + 1, n), np.uint64)
+    d[:, :n, :-1] = np.array(qs, np.uint64).reshape(count, n, n - 1) << np.uint64(1)
+    d[:, :n, -1] = 1
+    d[:, n] = b.transpose().words
+    # P_i = D_i^{-1} * (C * D_{i+1}); C * D moves the rows of D up one place
+    x = _eliminate(d[:, :-1].reshape(-1, n), np.roll(d[:, 1:], -1, axis=2).reshape(-1, n))[1]
+    p0 = [_mul_words_int(b.words, d_1, n) for d_1 in d[:, 0].tolist()]
+    return [_trusted(AlgorithmSeq, matrices=tuple(BitMatrix(n, n, tuple(w)) for w in [p, *xi]))
+            for p, xi in zip(p0, x.reshape(count, n, n).tolist())]
+
+
 def build(f: FactorTuple) -> AlgorithmSeq:
-    n = f.n
-    # row words of D_i = diag(Q_i, 1): each row of Q_i with a 0 appended, then e_n; D_{n+1} = B^T
-    d = [tuple(w << 1 for w in q.words) + (1,) for q in f.qs] + [f.b.transpose().words]
-    mats = [BitMatrix(n, n, _mul_words_int(f.b.words, d[0], n))]
-    for d_i, d_next in zip(d, d[1:]):
-        # P_i = D_i^{-1} * (C * D_{i+1}), one division; C * D moves the rows of D up one place
-        c = d_next[1:] + d_next[:1]
-        mats.append(BitMatrix(n, n, _solve([(x << n) | y for x, y in zip(d_i, c)], n)))
-    return _trusted(AlgorithmSeq, matrices=tuple(mats))
+    return _built(f.b, [[q.words for q in f.qs]])[0]
 
 
 def factorize(P: AlgorithmSeq) -> FactorTuple:
@@ -113,8 +119,7 @@ def sample_member(n: int, seed: Optional[int] = None) -> AlgorithmSeq:
         raise DimensionError(f"n must be in 1..{N_MAX}, got {n}")
     rng = random.Random(seed)
     b = random_invertible(n, rng)
-    qs = tuple(random_invertible(n - 1, rng) for _ in range(n))
-    return build(_trusted(FactorTuple, b=b, qs=qs))
+    return build(_trusted(FactorTuple, b=b, qs=tuple(_random_invertibles(n - 1, n, rng))))
 
 
 def _members(
@@ -122,10 +127,9 @@ def _members(
 ) -> Iterator[AlgorithmSeq]:
     if not 1 <= n <= bound:
         raise ValueError(f"{what} supported for 1 <= n <= {bound}")
-    inner = list(outer(n - 1))
+    inner = [q.words for q in outer(n - 1)]
     for b in outer(n):
-        for qs in itertools.product(inner, repeat=n):
-            yield build(_trusted(FactorTuple, b=b, qs=qs))
+        yield from _built(b, list(itertools.product(inner, repeat=n)))
 
 
 def enumerate_members(n: int) -> Iterator[AlgorithmSeq]:

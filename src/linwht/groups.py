@@ -14,7 +14,7 @@ import warnings
 from typing import Iterator
 
 from .config import GL_ENUM_MAX
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, _eliminate
 
 __all__ = [
     "enumerate_gl",
@@ -75,6 +75,16 @@ def random_invertible(n: int, rng: random.Random) -> BitMatrix:
         m = BitMatrix(n, n, tuple(rng.getrandbits(n) for _ in range(n)))
         if m.rank() == n:
             return m
+
+
+def _random_invertibles(n: int, count: int, rng: random.Random) -> list[BitMatrix]:
+    """``[random_invertible(n, rng) for _ in range(count)]``, ranking candidates in rounds of
+    about 3.5 per matrix still needed; ``rng`` ends past the last accepted candidate."""
+    out: list[BitMatrix] = []
+    while (need := count - len(out)) > 0:
+        cands = [[rng.getrandbits(n) for _ in range(n)] for _ in range(math.ceil(3.5 * need))]
+        out += [BitMatrix(n, n, tuple(w)) for w, r in zip(cands, _eliminate(cands)[0]) if r == n][:need]
+    return out
 
 
 def count_gl(n: int) -> int:

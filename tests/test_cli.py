@@ -1,6 +1,7 @@
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -392,6 +393,19 @@ def test_bench_small(capsys):
     assert lines[0].startswith("n=4 min_ms=")
     assert lines[1].startswith("n=8 min_ms=")
     assert lines[2].startswith("oracle refused n=15")
+
+
+def test_bench_construction_lines(capsys):
+    """After the check and oracle lines, one line per size with the min of
+    --repeat runs of sample_member, build and factorize."""
+    code, out, _ = run_cli(capsys, "bench", "--sizes", "3,64", "--repeat", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 5
+    for line, n in zip(lines[3:], (3, 64)):
+        m = re.fullmatch(rf"n={n} sample_ms=([0-9.]+) build_ms=([0-9.]+) factorize_ms=([0-9.]+)", line)
+        assert m, line
+        assert all(float(v) > 0 for v in m.groups())
 
 
 def test_usage_errors(capsys):

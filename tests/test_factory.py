@@ -224,6 +224,22 @@ def test_bit_index_enumeration_counts(n, expected):
     assert len(keys) == expected == count_bit_index_algorithms(n)
 
 
+def _digest(members) -> str:
+    return hashlib.sha256("\n".join(P.key() for P in members).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("members, digest", [
+    (lambda: enumerate_members(3), "2d83838b1ff0c609"),
+    (lambda: enumerate_bit_index_members(4), "f3261e7fa33774c3"),
+    (lambda: (sample_member(n, s) for n in (1, 2, 3, 5, 16, 17, 33, 64) for s in (0, 1, 2)),
+     "04b128876a116d73"),
+], ids=["enumerate3", "bit_index4", "samples"])
+def test_construction_outputs_are_pinned(members, digest):
+    """The keys, in order, of what the enumerations and seeded samples make,
+    hashed: the elimination kernels behind them must not change a member."""
+    assert _digest(members()) == digest
+
+
 def test_sample_member_deterministic():
     assert sample_member(8, 42).key() == sample_member(8, 42).key()
 

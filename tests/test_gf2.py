@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from linwht.gf2 import (
     BitMatrix,
     DimensionError,
     SingularError,
+    _eliminate,
     _mul_bits,
     _packed,
     _solve,
@@ -262,6 +264,55 @@ def test_packed_inverse_against_naive_wide(m, width, seed):
     assert inv.to_lists() == textbook
     quotient = BitMatrix(m.rows, width, _solve(rows, width))
     assert quotient.to_lists() == naive_mul(textbook, b.to_lists())
+
+
+@st.composite
+def stacks(draw):
+    """1..6 square matrices of one size n in 1..64, invertible, seeded or drawn,
+    with a few rows given their top bit (bit 63 at n = 64), zeroed or repeated,
+    which makes singular members; right parts of one width in 1..64."""
+    n = draw(st.integers(1, 64))
+    width = draw(st.integers(1, 64))
+    a, b = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("invertible", "seeded", "drawn")))
+        if kind == "drawn":
+            words = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+        else:
+            seed = draw(st.integers(0, 2**31))
+            m = random_invertible(n, random.Random(seed)) if kind == "invertible" else _seeded(n, n, seed)
+            words = list(m.words)
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            words[i] |= 1 << (n - 1)
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            words[i] = 0
+        for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2)):
+            words[i] = words[j]
+        a.append(words)
+        b.append(_seeded(n, width, draw(st.integers(0, 2**31))).words)
+    return n, width, a, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(stacks())
+@example((64, 64, [[(1 << 64) - 1 - (1 << r) for r in range(64)], list(_seeded(64, 64, 10).words),
+                   [(1 << 63) | w for w in _seeded(64, 64, 11).words]],
+          [_seeded(64, 64, 12).words] * 3))
+@example((1, 1, [[0], [1]], [(1,), (1,)]))
+def test_stack_elimination_against_naive(case):
+    """Each rank equals the textbook rank, and each full-rank quotient equals
+    ``_solve`` on the same rows and the textbook a^-1 times b."""
+    n, width, a, b = case
+    ranks, x = _eliminate(np.array(a, np.uint64), np.array(b, np.uint64))
+    assert ranks.tolist() == [naive_rank(BitMatrix(n, n, tuple(w)).to_lists()) for w in a]
+    for words, right, rank, got in zip(a, b, ranks.tolist(), x.tolist()):
+        if rank < n:
+            continue
+        assert tuple(got) == _solve([(p << width) | q for p, q in zip(words, right)], width)
+        textbook = naive_mul(naive_inverse(BitMatrix(n, n, tuple(words)).to_lists()),
+                             BitMatrix(n, width, tuple(right)).to_lists())
+        assert BitMatrix(n, width, tuple(got)).to_lists() == textbook
+    assert _eliminate(np.array(a, np.uint64))[0].tolist() == ranks.tolist()
 
 
 @pytest.mark.parametrize("n", [2, 31, 32, 33, 63, 64])

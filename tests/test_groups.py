@@ -13,6 +13,7 @@ from linwht.groups import (
     enumerate_gl,
     enumerate_perm,
     random_invertible,
+    _random_invertibles,
 )
 
 from helpers import brute_gl, naive_is_permutation
@@ -60,6 +61,20 @@ def test_random_invertible_deterministic():
 def test_random_invertible_degenerate():
     m = random_invertible(0, random.Random(0))
     assert m.rows == m.cols == 0
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 15, 63, 64])
+def test_batched_draws_follow_the_stream(m):
+    """The batched drawer yields what sequential draws from an equal-seeded
+    stream yield, for every count up to n = m + 1; at m = 0 it uses no bits."""
+    for count in range(1, m + 2):
+        ours, theirs = random.Random(count), random.Random(count)
+        state = ours.getstate()
+        got = _random_invertibles(m, count, ours)
+        assert got == [random_invertible(m, theirs) for _ in range(count)]
+        assert all(g.rows == g.cols == m for g in got)
+        if m == 0:
+            assert ours.getstate() == state
 
 
 def test_gl2_sampling_uniform():
