@@ -13,20 +13,23 @@ bit column vectors).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .config import N_MAX
-from .gf2 import BitMatrix, DimensionError, SingularError
+from .gf2 import BitMatrix, DimensionError, SingularError, _eliminate, identity
 
 __all__ = ["AlgorithmSeq", "reversed_inverted"]
 
 
-def _check(m: BitMatrix, n: int, what: str) -> None:
-    """Raise unless m is an invertible n x n matrix; ``what`` names it in the error."""
-    if m.rows != n or m.cols != n:
-        raise DimensionError(f"{what} is {m.rows}x{m.cols}, expected {n}x{n}")
-    if (rank := m.rank()) != n:
-        raise SingularError(f"{what} is singular", rank)
+def _check(mats: Sequence[BitMatrix], n: int, what: str, start: int = 0) -> None:
+    """Raise unless every matrix is invertible and n x n, n <= 64: all shapes, then all
+    ranks in one stack elimination; ``what.format(start + i)`` names matrix i in the error."""
+    for i, m in enumerate(mats):
+        if m.rows != n or m.cols != n:
+            raise DimensionError(f"{what.format(start + i)} is {m.rows}x{m.cols}, expected {n}x{n}")
+    for i, rank in enumerate(_eliminate([m.words for m in mats])[0].tolist()):
+        if rank != n:
+            raise SingularError(f"{what.format(start + i)} is singular", rank)
 
 
 def _trusted(cls, **fields):
@@ -47,8 +50,7 @@ class AlgorithmSeq:
         n = len(self.matrices) - 1
         if not 1 <= n <= N_MAX:
             raise DimensionError(f"an algorithm needs 2..{N_MAX + 1} stage matrices, got {n + 1}")
-        for idx, m in enumerate(self.matrices):
-            _check(m, n, f"stage matrix {idx}")
+        _check(self.matrices, n, "stage matrix {}")
 
     @property
     def n(self) -> int:
@@ -67,4 +69,6 @@ class AlgorithmSeq:
 
 def reversed_inverted(P: AlgorithmSeq) -> AlgorithmSeq:
     """The sequence (P_n^-1, ..., P_0^-1), which computes the transpose map."""
-    return _trusted(AlgorithmSeq, matrices=tuple(m.inverse() for m in reversed(P.matrices)))
+    n = P.n
+    inverses = _eliminate([m.words for m in reversed(P.matrices)], [identity(n).words] * (n + 1))[1]
+    return _trusted(AlgorithmSeq, matrices=tuple(BitMatrix(n, n, tuple(w)) for w in inverses.tolist()))

@@ -47,6 +47,7 @@ from .textio import (
 )
 
 __all__ = ["main"]
+_REPEAT_MAX = 1000  # the most runs ``wht bench`` times of each operation, so a run stays bounded
 
 
 @contextmanager
@@ -176,8 +177,8 @@ def _cmd_export_dot(args) -> int:
 def _cmd_bench(args) -> int:
     with _naming(f"--sizes {args.sizes!r}"):
         sizes = [_check_size(int(s)) for s in args.sizes.split(",") if s]
-    if args.repeat < 1:
-        raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
+    if not 1 <= args.repeat <= _REPEAT_MAX:
+        raise ValueError(f"--repeat must be in 1..{_REPEAT_MAX}, got {args.repeat}")
 
     def best_ms(op) -> str:
         return f"{min(timeit.repeat(op, number=1, repeat=args.repeat)) * 1e3:.3f}"

@@ -10,9 +10,10 @@ matrix diag(Q_i, 1)):
 C only permutes rows: C * D is D with its rows moved up one place,
 cyclically, so P_i, i > 0, is the quotient of C * D_{i+1} by D_i and P_0
 one product; ``build``, and the enumerations for all members that share
-a B, form every quotient in one stack elimination.  ``factorize``
-inverts the construction; B comes back as the spreading matrix X of the
-sequence, and since P_{0:i} = B * C^i * D_{i+1},
+a B, form every quotient in one stack elimination and every P_0 in one
+bit-stack product.  ``factorize`` inverts the construction; B comes back
+as the spreading matrix X of the sequence, and since
+P_{0:i} = B * C^i * D_{i+1},
 
     D_{i+1} = C^{-i} * X^{-1} * P_{0:i}.
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .algorithm import AlgorithmSeq, _check, _trusted
 from .config import BIT_INDEX_ENUM_MAX, MEMBER_ENUM_MAX, N_MAX
-from .gf2 import BitMatrix, DimensionError, _eliminate, _mul_bits, _mul_words_int, _to_bits, _words
+from .gf2 import BitMatrix, DimensionError, _eliminate, _mul_bits, _to_bits, _words
 from .groups import _random_invertibles, enumerate_gl, enumerate_perm, random_invertible
 from .membership import NotMemberError, _structure, check_membership
 from .oracle import evaluate, hadamard
@@ -57,14 +58,13 @@ class FactorTuple:
 
     def __post_init__(self):
         n = self.b.rows
-        _check(self.b, n, "B")
-        if len(self.qs) != n:
-            raise DimensionError(f"need exactly {n} inner matrices, got {len(self.qs)}")
-        for i, q in enumerate(self.qs, start=1):
-            _check(q, n - 1, f"inner matrix {i}")
-        # the size bound comes last, so a singular matrix raises SingularError at any n
+        # the size bound comes first, as the rank check's stack elimination needs n <= 64
         if not 1 <= n <= N_MAX:
             raise DimensionError(f"B is {n}x{n}, expected n x n with 1 <= n <= {N_MAX}")
+        _check((self.b,), n, "B")
+        if len(self.qs) != n:
+            raise DimensionError(f"need exactly {n} inner matrices, got {len(self.qs)}")
+        _check(self.qs, n - 1, "inner matrix {}", start=1)
 
     @property
     def n(self) -> int:
@@ -72,7 +72,8 @@ class FactorTuple:
 
 
 def _built(b: BitMatrix, qs: list) -> list[AlgorithmSeq]:
-    """The members (B, Q_1..Q_n), Q_i row words in ``qs``, all divisions in one stack elimination."""
+    """The members (B, Q_1..Q_n), Q_i row words in ``qs``: all divisions in one stack
+    elimination, and every P_0 in one bit-stack product."""
     n, count = b.rows, len(qs)
     # D_i = diag(Q_i, 1): each row of Q_i with a 0 appended, then e_n; D_{n+1} = B^T
     d = np.empty((count, n + 1, n), np.uint64)
@@ -81,7 +82,7 @@ def _built(b: BitMatrix, qs: list) -> list[AlgorithmSeq]:
     d[:, n] = b.transpose().words
     # P_i = D_i^{-1} * (C * D_{i+1}); C * D moves the rows of D up one place
     x = _eliminate(d[:, :-1].reshape(-1, n), np.roll(d[:, 1:], -1, axis=2).reshape(-1, n))[1]
-    p0 = [_mul_words_int(b.words, d_1, n) for d_1 in d[:, 0].tolist()]
+    p0 = _words(_mul_bits(_to_bits(b.words, n), _to_bits(d[:, 0], n)))
     return [_trusted(AlgorithmSeq, matrices=tuple(BitMatrix(n, n, tuple(w)) for w in [p, *xi]))
             for p, xi in zip(p0, x.reshape(count, n, n).tolist())]
 

@@ -8,17 +8,22 @@ integers they encode: the packed form of the binary digits of ``i``
 (most significant bit on top) is ``i`` itself, and the vector
 ``(0, ..., 0, 1)`` is the integer ``1``.
 
-Elimination has two shapes.  One system runs in one int (``rank``,
-``_solve``), row i in the bit slot [i*w, (i+1)*w), so one carry-free
-``big ^= (sel ^ pivot) * pivot_row`` clears a pivot's column from every
-other row; ``_solve`` does so on the rows of [a | b] for every column
-of a, pivot rows included, leaving a^-1 * b.  A stack of N systems of
-one size (``_eliminate``) loops over the n pivot columns only, each step
-a few numpy operations on all N*n row words.  Single matrices take the
-int (an n=64 inversion: 0.18 ms, and 0.61 ms as a stack of one); the
-divisions of ``build`` and of the enumerations and the ranks of
-``sample_member``'s candidates take the stack (at n=64, 64 divisions:
-12.2 -> 1.5 ms, 224 ranks: 14.5 -> 3.0 ms; min of 20 runs, 2-vCPU VM).
+Each kernel has a one-matrix shape and a stack shape.  One system runs
+in one int (``rank``, ``_solve``), row i in the bit slot [i*w, (i+1)*w),
+so one carry-free ``big ^= (sel ^ pivot) * pivot_row`` clears a pivot's
+column from every other row; ``_solve`` does so on the rows of [a | b]
+for every column of a, pivot rows included, leaving a^-1 * b.  A stack
+of N systems of one size (``_eliminate``) loops over the n pivot columns
+only, each step a few numpy operations on all N*n row words.  ``@`` is
+an int loop, ``_mul_bits`` one BLAS product over a 0/1 stack.  A job on
+a stack makes one stack call: the checks of stages and of factors,
+``reversed_inverted``, ``build``'s divisions and P_0, ``sample_member``'s
+candidate ranks (n=64: checking 65 stages 4.0-4.6 -> 1.1-1.4 ms, 65
+inverses 12-14 -> 3.0-3.5 ms, 64 divisions 12.2 -> 1.5 ms; one inverse
+0.18 ms, 0.61 ms as a stack of one).  Two loops stay, as one call
+measured slower: the oracle's n divisions (n=10: 0.09 ms, one call
+0.13-0.15) and ``factorize``'s n products (n=64: 0.77 ms, one call
+1.0); 2-vCPU VM.
 
 Everything here is immutable and every operation returns a new value,
 so instances can be shared freely across threads.
@@ -37,7 +42,6 @@ __all__ = [
     "SingularError",
     "identity",
     "rotation_matrix",
-    "reversal_matrix",
     "parity",
 ]
 
@@ -60,19 +64,6 @@ class SingularError(ValueError):
 def parity(x: int) -> int:
     """Parity of the popcount, i.e. the GF(2) sum of the bits of x."""
     return x.bit_count() & 1
-
-
-def _mul_words_int(a_words: Sequence[int], b_words: Sequence[int], inner: int) -> tuple[int, ...]:
-    top = inner - 1
-    out = []
-    for w in a_words:
-        acc = 0
-        while w:
-            p = w.bit_length() - 1
-            acc ^= b_words[top - p]
-            w ^= 1 << p
-        out.append(acc)
-    return tuple(out)
 
 
 def _pack(words: Sequence[int], width: int) -> int:
@@ -188,7 +179,15 @@ class BitMatrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        return BitMatrix(self.rows, other.cols, _mul_words_int(self.words, other.words, self.cols))
+        top, out = self.cols - 1, []
+        for w in self.words:
+            acc = 0
+            while w:
+                p = w.bit_length() - 1
+                acc ^= other.words[top - p]
+                w ^= 1 << p
+            out.append(acc)
+        return BitMatrix(self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "BitMatrix":
         words = [0] * self.cols
@@ -274,11 +273,3 @@ def rotation_matrix(n: int) -> BitMatrix:
         raise DimensionError("rotation needs n >= 1")
     words = tuple(1 << (n - 2 - r) for r in range(n - 1)) + (1 << (n - 1),)
     return BitMatrix(n, n, words)
-
-
-def reversal_matrix(n: int) -> BitMatrix:
-    """Anti-diagonal matrix: reverses the order of the bit components."""
-    if n < 1:
-        raise DimensionError("reversal needs n >= 1")
-    return BitMatrix(n, n, tuple(1 << r for r in range(n)))
-

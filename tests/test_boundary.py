@@ -159,3 +159,81 @@ def test_parsers_raise_only_boundary_errors(text, parse):
         parse(text)
     except (ParseError, DimensionError, SingularError):
         pass
+
+
+def _spoiled(m: BitMatrix, kind: str, rng: random.Random, keep_rows: bool) -> BitMatrix:
+    """m made singular of rank n - j by setting j >= 1 of its rows to sums of subsets of
+    the others (a 0x0 matrix cannot be), or else given a wrong shape, with m.rows rows
+    if ``keep_rows``."""
+    n = m.rows
+    if kind == "singular" and n:
+        words = list(m.words)
+        spoilt = rng.sample(range(n), rng.randint(1, n))
+        kept = [words[r] for r in range(n) if r not in spoilt]
+        for r in spoilt:
+            words[r] = 0
+            for w in rng.sample(kept, rng.randint(0, len(kept))):
+                words[r] ^= w
+        return BitMatrix(n, n, tuple(words))
+    sizes = range(max(n - 1, 0), n + 2)
+    rows = n if keep_rows else rng.choice(sizes)
+    cols = rng.choice([c for c in sizes if (rows, c) != (n, n)])
+    return BitMatrix(rows, cols, tuple(rng.getrandbits(cols) if cols else 0 for _ in range(rows)))
+
+
+def _expected_error(groups, spoiled):
+    """The error the checks should raise over ``groups`` of (names, matrices, n), in
+    check order: each group's shapes in index order, then its naive ranks.  Only the
+    matrices named in ``spoiled`` are ranked; the others came from ``random_invertible``."""
+    for names, mats, n in groups:
+        for name, m in zip(names, mats):
+            if (m.rows, m.cols) != (n, n):
+                return DimensionError, f"{name} is {m.rows}x{m.cols}, expected {n}x{n}", None
+        for name, m in zip(names, mats):
+            if name in spoiled and (rank := naive_rank(m.to_lists())) != n:
+                return SingularError, f"{name} is singular", rank
+    return None
+
+
+def _assert_raises_expected(make, expected):
+    if expected is None:
+        make()
+        return
+    kind, text, rank = expected
+    with pytest.raises((DimensionError, SingularError)) as e:
+        make()
+    assert (type(e.value), str(e.value), getattr(e.value, "rank", None)) == (kind, text, rank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, N_MAX),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, N_MAX), st.sampled_from(["shape", "singular"])), max_size=2),
+)
+@example(1, 0, [(1, "singular"), (0, "singular")])
+@example(1, 1, [(1, "shape")])
+@example(2, 2, [(2, "shape"), (0, "singular")])
+@example(2, 3, [])
+@example(N_MAX, 4, [(N_MAX, "singular"), (3, "shape")])
+@example(N_MAX, 5, [(0, "singular"), (N_MAX, "singular")])
+def test_stack_check_against_naive(n, seed, bad):
+    """AlgorithmSeq and FactorTuple check every shape, then every rank, each in
+    index order; zero, one or two spoiled matrices at drawn positions."""
+    rng = random.Random(seed)
+    spots = {at % (n + 1): kind for at, kind in bad}
+    stages = [random_invertible(n, rng) for _ in range(n + 1)]
+    for at, kind in spots.items():
+        stages[at] = _spoiled(stages[at], kind, rng, keep_rows=False)
+    names = [f"stage matrix {i}" for i in range(n + 1)]
+    expected = _expected_error([(names, stages, n)], {names[at] for at in spots})
+    _assert_raises_expected(lambda: AlgorithmSeq(tuple(stages)), expected)
+
+    # position 0 is B, which keeps its n rows, as they fix n; position i is Q_i
+    mats = [random_invertible(n, rng)] + [random_invertible(n - 1, rng) for _ in range(n)]
+    for at, kind in spots.items():
+        mats[at] = _spoiled(mats[at], kind, rng, keep_rows=at == 0)
+    b, qs = mats[0], mats[1:]
+    names = ["B"] + [f"inner matrix {i}" for i in range(1, n + 1)]
+    expected = _expected_error([(names[:1], [b], n), (names[1:], qs, n - 1)], {names[at] for at in spots})
+    _assert_raises_expected(lambda: FactorTuple(b, tuple(qs)), expected)

@@ -1,12 +1,16 @@
 import operator
+import random
 from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linwht import (
     CATALOG,
     NotMemberError,
+    check_membership,
     evaluate,
     hadamard,
     identity,
@@ -14,13 +18,14 @@ from linwht import (
     iterative_ct,
     pease,
     pease_transpose,
+    reversed_inverted,
     to_sequency,
 )
 from linwht.catalog import _bit_swap
 from linwht.gf2 import BitMatrix
 from linwht.textio import format_sequence
 
-from helpers import bit_reverse, kron_hadamard, random_sequence
+from helpers import bit_reverse, kron_hadamard, naive_inverse, random_sequence
 
 
 def test_catalog_names():
@@ -57,6 +62,22 @@ def test_pease_transpose_is_reversed_inverse():
     for k in range(4):
         assert T[k] == P[3 - k].inverse()
     assert (evaluate(T) == evaluate(P).T).all()
+    for n in range(1, 65):
+        assert check_membership(pease_transpose(n)).passed, n
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2**32 - 1))
+@example(1, 0)
+@example(2, 1)
+@example(64, 2)
+def test_reversed_inverted_against_naive(n, seed):
+    """Stage k of the result is the naive inverse of stage n - k, and the map is an involution."""
+    P = random_sequence(n, random.Random(seed))
+    T = reversed_inverted(P)
+    for k in range(n + 1):
+        assert T[k].to_lists() == naive_inverse(P[n - k].to_lists()), k
+    assert reversed_inverted(T) == P
 
 
 def test_pease_transpose_n2_is_known_row():

@@ -198,6 +198,7 @@ def test_count_exact_past_int_str_limit(capsys, n):
         ("sample", "-n", "65"),
         ("enumerate", "-n", "65"),
         ("bench", "--repeat", "0"),
+        ("bench", "--repeat", "1001"),
         ("bench", "--sizes", "4,65"),
         ("bench", "--sizes", "0"),
         ("bench", "--sizes", "a"),

@@ -17,7 +17,6 @@ from linwht.gf2 import (
     _words,
     identity,
     parity,
-    reversal_matrix,
     rotation_matrix,
 )
 from linwht.groups import random_invertible
@@ -344,12 +343,6 @@ def test_rotation_order_n():
     for _ in range(5):
         acc = acc @ c
     assert acc == identity(5)
-
-
-def test_reversal_reverses_bits():
-    j = reversal_matrix(3)
-    assert [j.apply(i) for i in range(8)] == [0, 4, 2, 6, 1, 5, 3, 7]
-    assert j @ j == identity(3)
 
 
 def test_parity():

@@ -25,7 +25,7 @@ from linwht import (
     spreading_matrix,
 )
 from linwht.gf2 import BitMatrix
-from linwht.groups import enumerate_gl
+from linwht.groups import enumerate_gl, random_invertible
 from linwht.membership import _claimed_rows, _corner_witness, _structure, find_counterexample
 from linwht.oracle import dependency_sets
 from linwht.textio import format_sequence, parse_document
@@ -158,6 +158,17 @@ def test_members_pass_and_transpose_closure(n, seed):
     P = sample_member(n, seed)
     assert is_member(P)
     assert is_member(reversed_inverted(P))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.sampled_from(("member", "random")), st.integers(0, 2**30))
+def test_outer_stages_never_change_the_inverse_condition(n, kind, seed):
+    """The inverse condition reads neither P_n nor P_0 (X = P_0 * X', and row k of
+    X^-1 * P_{0:n-k} is row k of X'^-1 * P_{1:n-k}), so new outer stages keep its verdict."""
+    rng = random.Random(seed)
+    P = sample_member(n, rng.randrange(1 << 30)) if kind == "member" else random_sequence(n, rng)
+    outer = AlgorithmSeq((random_invertible(n, rng),) + P.matrices[1:-1] + (random_invertible(n, rng),))
+    assert check_membership(outer).cond_inverse == check_membership(P).cond_inverse
 
 
 @settings(max_examples=30, deadline=None)
