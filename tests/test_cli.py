@@ -398,13 +398,15 @@ def test_bench_small(capsys):
 
 def test_bench_construction_lines(capsys):
     """After the check and oracle lines, one line per size with the min of
-    --repeat runs of sample_member, build and factorize."""
+    --repeat runs of sample_member, build, factorize, format_document and
+    parse_document."""
     code, out, _ = run_cli(capsys, "bench", "--sizes", "3,64", "--repeat", "2")
     assert code == 0
     lines = out.splitlines()
     assert len(lines) == 5
     for line, n in zip(lines[3:], (3, 64)):
-        m = re.fullmatch(rf"n={n} sample_ms=([0-9.]+) build_ms=([0-9.]+) factorize_ms=([0-9.]+)", line)
+        m = re.fullmatch(rf"n={n} sample_ms=([0-9.]+) build_ms=([0-9.]+) factorize_ms=([0-9.]+)"
+                         r" format_ms=([0-9.]+) parse_ms=([0-9.]+)", line)
         assert m, line
         assert all(float(v) > 0 for v in m.groups())
 

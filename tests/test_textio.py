@@ -1,8 +1,12 @@
+import random
+import re
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linwht import pease, sample_member
+from linwht import factorize, pease, sample_member, textio
 from linwht.gf2 import SingularError
 from linwht.textio import (
     AlgorithmDocument,
@@ -15,7 +19,7 @@ from linwht.textio import (
     parse_sequence,
 )
 
-from helpers import FIXTURES, read_fixture
+from helpers import FIXTURES, random_sequence, read_fixture
 
 
 def test_parse_canonical_line():
@@ -175,3 +179,104 @@ def test_factor_grammar_n1():
 def test_factor_grammar_rejects_malformed(text):
     with pytest.raises(ParseError):
         parse_factors(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 64), st.integers(0, 2**30), st.booleans())
+@example(1, 0, True)
+@example(2, 5, False)
+@example(64, 1, True)
+@example(64, 2, False)
+def test_format_sequence_joins_stage_texts(n, seed, member):
+    """The one-array formatter writes what joining each stage's ``to_text`` writes."""
+    P = sample_member(n, seed) if member else random_sequence(n, random.Random(seed))
+    assert format_sequence(P) == f"n={P.n}; " + "; ".join(m.to_text() for m in P)
+
+
+# ``_Scanner.matrix`` first tries one match of the whole matrix and reads it
+# only when no row loop could read it differently; these tests pin that down
+# against the row loop, forced by a compact pattern that never matches.
+_NEVER = re.compile(r"(?!)")
+_SEPARATORS = (" ", "\t", "\n", "\r\n", "# c\n", "  # a comment\r\n")
+# a bit turned to 2, a '/' or a bit dropped, or a digit after a matrix's last row
+_CORRUPTIONS = ("2", "drop /", "drop bit", " 1", "\t0", "# c\n1", "#\r\n0")
+
+
+def _canonical(kind: str, n: int, seed: int):
+    P = sample_member(n, seed)
+    if kind == "factors":
+        return parse_factors, format_factors(factorize(P))
+    if kind == "document":
+        doc = AlgorithmDocument(P, {"name": "x", "seed": str(seed)})
+        return parse_document, format_document(doc)
+    return parse_sequence, format_sequence(P)
+
+
+def _corrupt(text: str, start: int, how: str, pick: int) -> str:
+    """``text`` with one corruption at the ``pick``-th candidate site after offset ``start``."""
+    body = range(start, len(text))
+    if how == "drop /":
+        sites = [i for i in body if text[i] == "/"]
+    elif how in ("2", "drop bit"):
+        sites = [i for i in body if text[i] in "01"]
+    else:  # after the last bit of a matrix: one followed by ';', a newline or the end
+        sites = [i + 1 for i in body if text[i] in "01" and text[i + 1 : i + 2] in (";", "\n", "")]
+    if not sites:
+        return text
+    i = sites[pick % len(sites)]
+    if how == "2":
+        return text[:i] + "2" + text[i + 1 :]
+    if how.startswith("drop"):
+        return text[:i] + text[i + 1 :]
+    return text[:i] + how + text[i:]
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except ValueError as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "column", None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(("sequence", "document", "factors")),
+    st.integers(1, 8),
+    st.integers(0, 2**30),
+    st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_SEPARATORS)), max_size=12),
+    st.none() | st.tuples(st.sampled_from(_CORRUPTIONS), st.integers(0, 10**6)),
+    st.booleans(),
+)
+@example("factors", 1, 0, [], None, False)
+@example("sequence", 1, 0, [], (" 1", 0), False)
+@example("factors", 1, 3, [(0, "# c\n")], ("# c\n1", 0), True)
+@example("document", 64, 1, [(4000, "\r\n"), (9, " ")], ("#\r\n0", 64), True)
+@example("sequence", 64, 2, [], ("drop /", 4000), False)
+@example("factors", 64, 3, [(1, "\t")], ("2", 77), False)
+def test_compact_match_agrees_with_row_loop(kind, n, seed, spacing, corruption, crlf):
+    """Canonical text with random spacing, comments, CRLF line ends and at most
+    one corrupted character parses to the same value, or fails with the same
+    error text, line and column, with and without the compact match."""
+    parse, text = _canonical(kind, n, seed)
+    start = text.index(";") + 1  # spacing and corruption go after the header
+    if corruption:
+        text = _corrupt(text, start, *corruption)
+    for offset, sep in spacing:
+        at = start + offset % (len(text) - start + 1)
+        text = text[:at] + sep + text[at:]
+    if crlf:
+        text = text.replace("\r\n", "\n").replace("\n", "\r\n")
+    fast = _outcome(parse, text)
+    with mock.patch.object(textio, "_compact", lambda rows, cols: _NEVER):
+        assert fast == _outcome(parse, text)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 64])
+def test_canonical_text_takes_the_compact_match(n):
+    """With a row loop that can read no digit, canonical text still parses:
+    every matrix of it was read by the compact match."""
+    for kind in ("sequence", "document", "factors"):
+        parse, text = _canonical(kind, n, n)
+        expected = parse(text)
+        with mock.patch.object(textio, "_BITS", _NEVER):
+            assert parse(text) == expected
