@@ -15,8 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .config import N_MAX
-from .gf2 import BitMatrix, DimensionError, SingularError, _eliminate, identity
+from .gf2 import BitMatrix, DimensionError, SingularError, _eliminate, _to_bits, identity
 
 __all__ = ["AlgorithmSeq", "reversed_inverted"]
 
@@ -63,8 +65,13 @@ class AlgorithmSeq:
         return iter(self.matrices)
 
     def key(self) -> str:
-        """Canonical text form, usable as a dictionary/dedupe key."""
-        return ";".join(m.to_text() for m in self.matrices)
+        """Canonical text form, usable as a dictionary/dedupe key: each stage's
+        ``to_text``, joined by ``;``, written as one byte array."""
+        n = self.n
+        chars = np.full((n + 1, n, n + 1), ord("/"), np.uint8)  # a '/' ends each row ...
+        chars[:, -1, -1] = ord(";")  # ... and a ';' each stage
+        np.add(_to_bits([m.words for m in self.matrices], n), ord("0"), out=chars[..., :n])
+        return str(chars.reshape(-1)[:-1], "ascii")  # decoded in place: no bytes copy
 
 
 def reversed_inverted(P: AlgorithmSeq) -> AlgorithmSeq:

@@ -111,7 +111,7 @@ def _cmd_count(args) -> int:
 def _format_row(P: AlgorithmSeq, table: bool) -> str:
     if not table:
         return format_sequence(P)
-    mats = "; ".join(m.to_text() for m in P)
+    mats = P.key().replace(";", "; ")
     _, prefix, x, _ = _structure(P)
     return f"{mats} | product {_packed(prefix[-1]).to_text()} | X {x.to_text()}"
 

@@ -12,18 +12,16 @@ Each kernel has a one-matrix shape and a stack shape.  One system runs
 in one int (``rank``, ``_solve``), row i in the bit slot [i*w, (i+1)*w),
 so one carry-free ``big ^= (sel ^ pivot) * pivot_row`` clears a pivot's
 column from every other row; ``_solve`` does so on the rows of [a | b]
-for every column of a, pivot rows included, leaving a^-1 * b.  A stack
-of N systems of one size (``_eliminate``) loops over the n pivot columns
-only, each step a few numpy operations on all N*n row words.  ``@`` is
-an int loop, ``_mul_bits`` one BLAS product over a 0/1 stack.  A job on
-a stack makes one stack call: the checks of stages and of factors,
-``reversed_inverted``, ``build``'s divisions and P_0, ``sample_member``'s
-candidate ranks (n=64: checking 65 stages 4.0-4.6 -> 1.1-1.4 ms, 65
-inverses 12-14 -> 3.0-3.5 ms, 64 divisions 12.2 -> 1.5 ms; one inverse
-0.18 ms, 0.61 ms as a stack of one).  Two loops stay, as one call
-measured slower: the oracle's n divisions (n=10: 0.09 ms, one call
-0.13-0.15) and ``factorize``'s n products (n=64: 0.77 ms, one call
-1.0); 2-vCPU VM.
+for every column of a, pivot rows included, leaving a^-1 * b.  ``rank``
+keeps its own forward elimination, which stops once every row is a pivot:
+run on ``_solve``'s loop it measured slower.  A stack of N systems of one
+size (``_eliminate``) loops over the n pivot columns only, each step a few
+numpy operations on all N*n row words.  ``@`` is an int loop,
+``_mul_bits`` one BLAS product over a 0/1 stack.  A job on a stack makes
+one stack call: the checks of stages and of factors, ``reversed_inverted``,
+``build``'s divisions and P_0, ``sample_member``'s candidate ranks.  Two
+loops of single calls stay, as one call measured slower: the oracle's n
+divisions and ``factorize``'s n products.
 
 Everything here is immutable and every operation returns a new value,
 so instances can be shared freely across threads.
@@ -145,29 +143,12 @@ class BitMatrix:
             if not 0 <= w < limit:
                 raise DimensionError(f"row word {w:#x} does not fit in {self.cols} columns")
 
-    # -- construction ------------------------------------------------
-
-    @staticmethod
-    def from_text(text: str) -> "BitMatrix":
-        """Parse the ``/``-separated row form, e.g. ``01/10``."""
-        rows = text.split("/")
-        width = len(rows[0])
-        words = []
-        for row in rows:
-            if len(row) != width or width == 0:
-                raise DimensionError(f"bad row {row!r} in {text!r}")
-            if set(row) - {"0", "1"}:
-                raise ValueError(f"non-bit character in {row!r}")
-            words.append(int(row, 2))
-        return BitMatrix(len(words), width, tuple(words))
-
     # -- queries -----------------------------------------------------
 
     def to_text(self) -> str:
-        return "/".join(format(w, f"0{self.cols}b") for w in self.words)
-
-    def to_lists(self) -> list[list[int]]:
-        return [[(w >> (self.cols - 1 - j)) & 1 for j in range(self.cols)] for w in self.words]
+        """The ``/``-separated row form, e.g. ``01/10``: each row exactly ``cols`` digits."""
+        top = 1 << self.cols
+        return "/".join([bin(w | top)[3:] for w in self.words])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"BitMatrix({self.to_text()!r})"
@@ -190,15 +171,8 @@ class BitMatrix:
         return BitMatrix(self.rows, other.cols, tuple(out))
 
     def transpose(self) -> "BitMatrix":
-        words = [0] * self.cols
-        for r, w in enumerate(self.words):
-            bit = 1 << (self.rows - 1 - r)
-            c = self.cols - 1
-            while w:
-                if w & 1:
-                    words[c] |= bit
-                w >>= 1
-                c -= 1
+        text, step = self.to_text(), self.cols + 1  # entry (r, c) is text[r * step + c]
+        words = [int(text[c::step] or "0", 2) for c in range(self.cols)]  # "" when rows == 0
         return BitMatrix(self.cols, self.rows, tuple(words))
 
     def apply(self, v: int) -> int:

@@ -53,6 +53,11 @@ def read_fixture(name: str) -> str:
     return (FIXTURES / name).read_text()
 
 
+def lists(m: BitMatrix) -> list[list[int]]:
+    """The entries of m as rows of 0/1 ints, column 0 from the top bit of each row word."""
+    return [[(w >> (m.cols - 1 - j)) & 1 for j in range(m.cols)] for w in m.words]
+
+
 def naive_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """Row i of a*b is the sum of the rows k of b with a[i][k] = 1, mod 2."""
     inner, cols = len(b), len(b[0]) if b else 0
@@ -103,10 +108,10 @@ def naive_corner(P: AlgorithmSeq) -> bool:
     and its inverse, each formed entry by entry."""
     n = P.n
     for k in range(1, n):
-        acc = P[k].to_lists()
+        acc = lists(P[k])
         for l in range(k, n):
             if l > k:
-                acc = naive_mul(acc, P[l].to_lists())
+                acc = naive_mul(acc, lists(P[l]))
             if acc[n - 1][n - 1] or naive_inverse(acc)[n - 1][n - 1]:
                 return False
     return True
@@ -118,10 +123,10 @@ def naive_corner_witness(P: AlgorithmSeq):
     when no corner is set."""
     n = P.n
     for k in range(1, n):
-        acc = P[k].to_lists()
+        acc = lists(P[k])
         for l in range(k, n):
             if l > k:
-                acc = naive_mul(acc, P[l].to_lists())
+                acc = naive_mul(acc, lists(P[l]))
             if acc[n - 1][n - 1]:
                 return k, l, False
             if naive_inverse(acc)[n - 1][n - 1]:
@@ -131,15 +136,15 @@ def naive_corner_witness(P: AlgorithmSeq):
 
 def naive_is_permutation(m: BitMatrix) -> bool:
     """Square, with exactly one 1 in every row and every column."""
-    rows = m.to_lists()
+    rows = lists(m)
     return m.rows == m.cols and all(sum(line) == 1 for line in rows + [list(c) for c in zip(*rows)])
 
 
 def naive_prefix_products(P: AlgorithmSeq) -> list[list[list[int]]]:
     """P_{0:0}, P_{0:1}, ..., P_{0:n}, each multiplied entry by entry."""
-    out = [P[0].to_lists()]
+    out = [lists(P[0])]
     for m in P.matrices[1:]:
-        out.append(naive_mul(out[-1], m.to_lists()))
+        out.append(naive_mul(out[-1], lists(m)))
     return out
 
 

@@ -22,7 +22,7 @@ from linwht.gf2 import BitMatrix, DimensionError, SingularError
 from linwht.groups import random_invertible
 from linwht.textio import ParseError, parse_document, parse_factors, parse_sequence
 
-from helpers import naive_rank, read_fixture
+from helpers import lists, naive_rank, read_fixture
 
 HUGE_N = "n=" + "9" * 5000 + "; 1; 1"
 
@@ -85,11 +85,11 @@ def test_header_accepts_leading_zeros_and_ascii_digits_only():
 
 def test_factor_tuple_singular_carries_rank():
     with pytest.raises(SingularError) as e:
-        FactorTuple(BitMatrix.from_text("11/11"), (identity(1), identity(1)))
+        FactorTuple(BitMatrix(2, 2, (3, 3)), (identity(1), identity(1)))
     assert e.value.rank == 1
     assert str(e.value) == "B is singular"
     with pytest.raises(SingularError) as e:
-        FactorTuple(identity(3), (identity(2), BitMatrix.from_text("11/11"), identity(2)))
+        FactorTuple(identity(3), (identity(2), BitMatrix(2, 2, (3, 3)), identity(2)))
     assert e.value.rank == 1
     assert str(e.value) == "inner matrix 2 is singular"
     with pytest.raises(SingularError) as e:
@@ -99,7 +99,7 @@ def test_factor_tuple_singular_carries_rank():
         parse_factors(read_fixture("singular_inner.factors"))
     assert str(e.value) == "inner matrix 2 is singular"
     with pytest.raises(DimensionError) as e:
-        FactorTuple(BitMatrix.from_text("100/010"), (identity(1), identity(1)))
+        FactorTuple(BitMatrix(2, 3, (4, 2)), (identity(1), identity(1)))
     assert str(e.value) == "B is 2x3, expected 2x2"
     with pytest.raises(DimensionError) as e:
         FactorTuple(BitMatrix(0, 0, ()), ())
@@ -108,7 +108,7 @@ def test_factor_tuple_singular_carries_rank():
 
 def test_algorithm_seq_rejects_non_square_stage():
     with pytest.raises(DimensionError) as e:
-        AlgorithmSeq((identity(2), BitMatrix.from_text("10/01/11"), identity(2)))
+        AlgorithmSeq((identity(2), BitMatrix(3, 2, (2, 1, 3)), identity(2)))
     assert str(e.value) == "stage matrix 1 is 3x2, expected 2x2"
 
 
@@ -133,7 +133,7 @@ def test_algorithm_seq_names_first_singular_stage(data):
     with pytest.raises(SingularError) as e:
         AlgorithmSeq(tuple(mats))
     assert str(e.value) == f"stage matrix {first} is singular"
-    assert e.value.rank == naive_rank(mats[first].to_lists())
+    assert e.value.rank == naive_rank(lists(mats[first]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -190,7 +190,7 @@ def _expected_error(groups, spoiled):
             if (m.rows, m.cols) != (n, n):
                 return DimensionError, f"{name} is {m.rows}x{m.cols}, expected {n}x{n}", None
         for name, m in zip(names, mats):
-            if name in spoiled and (rank := naive_rank(m.to_lists())) != n:
+            if name in spoiled and (rank := naive_rank(lists(m))) != n:
                 return SingularError, f"{name} is singular", rank
     return None
 

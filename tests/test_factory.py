@@ -64,9 +64,9 @@ def test_factor_tuple_validation():
     with pytest.raises(DimensionError):
         FactorTuple(identity(2), (identity(1),))
     with pytest.raises(ValueError):
-        FactorTuple(BitMatrix.from_text("11/11"), (identity(1), identity(1)))
+        FactorTuple(BitMatrix(2, 2, (3, 3)), (identity(1), identity(1)))
     with pytest.raises(ValueError):
-        FactorTuple(identity(3), (identity(2), BitMatrix.from_text("11/11"), identity(2)))
+        FactorTuple(identity(3), (identity(2), BitMatrix(2, 2, (3, 3)), identity(2)))
 
 
 def test_build_identity_factors_gives_constant_geometry():
@@ -80,7 +80,7 @@ def test_build_n1():
 
 
 def test_build_shuffle_b_lands_on_known_row():
-    c2 = BitMatrix.from_text("01/10")
+    c2 = BitMatrix(2, 2, (1, 2))
     P = build(FactorTuple(c2, (identity(1), identity(1))))
     key = (tuple(m.to_text() for m in P), "10/01", spreading_matrix(P).to_text())
     assert key in N2_ROWS

@@ -21,7 +21,7 @@ from linwht.gf2 import (
 )
 from linwht.groups import random_invertible
 
-from helpers import naive_inverse, naive_mul, naive_rank
+from helpers import lists, naive_inverse, naive_mul, naive_rank
 
 
 def matrices(rows=st.integers(1, 6), cols=None):
@@ -50,10 +50,15 @@ def invertible_matrices(max_n=6):
     )
 
 
+def naive_transpose(m: BitMatrix) -> list[list[int]]:
+    rows = lists(m)
+    return [[row[c] for row in rows] for c in range(m.cols)]
+
+
 def test_text_example_packing():
-    m = BitMatrix.from_text("01/10")
-    assert m.words == (1, 2)
-    assert m.to_lists() == [[0, 1], [1, 0]]
+    m = BitMatrix(2, 2, (1, 2))
+    assert m.to_text() == "01/10"
+    assert lists(m) == [[0, 1], [1, 0]]
 
 
 def test_bad_shapes_rejected():
@@ -61,18 +66,33 @@ def test_bad_shapes_rejected():
         BitMatrix(2, 2, (1, 2, 3))
     with pytest.raises(DimensionError):
         BitMatrix(1, 1, (2,))
-    with pytest.raises(DimensionError):
-        BitMatrix.from_text("10/1")
 
 
-@given(matrices())
-def test_text_round_trip(m):
-    assert BitMatrix.from_text(m.to_text()) == m
+@given(matrices(rows=st.integers(0, 6), cols=st.integers(0, 70)))
+def test_to_text_writes_cols_digits_per_row(m):
+    """Each row is exactly ``cols`` digits, so a row of a 0-column matrix is empty."""
+    assert m.to_text() == "/".join("".join(map(str, row)) for row in lists(m))
 
 
-@given(matrices())
+def test_to_text_of_empty_shapes():
+    assert BitMatrix(2, 0, (0, 0)).to_text() == "/"
+    assert BitMatrix(0, 3, ()).transpose().to_text() == "//"
+    assert BitMatrix(0, 3, ()).to_text() == ""
+
+
+_WIDE = (1 << 100) - 3
+
+
+@given(matrices(rows=st.integers(0, 6), cols=st.integers(0, 70)))
+@example(BitMatrix(3, 0, (0, 0, 0)))
+@example(BitMatrix(0, 4, ()))
+@example(BitMatrix(1, 100, (_WIDE,)))
+@example(BitMatrix(100, 1, tuple(int(i % 3 == 0) for i in range(100))))
 def test_transpose_involution(m):
-    assert m.transpose().transpose() == m
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows)
+    assert lists(t) == naive_transpose(m)
+    assert t.transpose() == m
 
 
 @settings(max_examples=60)
@@ -83,17 +103,27 @@ def test_matmul_against_naive(data):
     c = data.draw(st.integers(1, 5))
     a = BitMatrix(r, k, tuple(data.draw(st.integers(0, (1 << k) - 1)) for _ in range(r)))
     b = BitMatrix(k, c, tuple(data.draw(st.integers(0, (1 << c) - 1)) for _ in range(k)))
-    assert (a @ b).to_lists() == naive_mul(a.to_lists(), b.to_lists())
+    assert lists(a @ b) == naive_mul(lists(a), lists(b))
+
+
+@st.composite
+def product_pairs(draw, dims=st.integers(0, 5)):
+    """a (r x k) and b (k x c), any of r, k, c possibly 0."""
+    r, k, c = draw(dims), draw(dims), draw(dims)
+    return draw(matrices(st.just(r), st.just(k))), draw(matrices(st.just(k), st.just(c)))
 
 
 @settings(max_examples=40)
-@given(st.data())
-def test_transpose_of_product(data):
-    n = data.draw(st.integers(1, 5))
-    words = st.integers(0, (1 << n) - 1)
-    a = BitMatrix(n, n, tuple(data.draw(words) for _ in range(n)))
-    b = BitMatrix(n, n, tuple(data.draw(words) for _ in range(n)))
-    assert (a @ b).transpose() == b.transpose() @ a.transpose()
+@given(product_pairs())
+@example((BitMatrix(3, 2, (1, 2, 3)), BitMatrix(2, 0, (0, 0))))
+@example((BitMatrix(0, 2, ()), BitMatrix(2, 4, (5, 10))))
+@example((BitMatrix(1, 2, (3,)), BitMatrix(2, 100, (_WIDE, _WIDE >> 7))))
+@example((BitMatrix(100, 2, tuple(i % 4 for i in range(100))), BitMatrix(2, 1, (1, 0))))
+def test_transpose_of_product(pair):
+    a, b = pair
+    t = (a @ b).transpose()
+    assert lists(t) == naive_transpose(a @ b)
+    assert t == b.transpose() @ a.transpose()
 
 
 def test_matmul_dimension_mismatch():
@@ -105,7 +135,7 @@ def test_matmul_dimension_mismatch():
 
 @given(square_matrices())
 def test_rank_against_naive(m):
-    assert m.rank() == naive_rank(m.to_lists())
+    assert m.rank() == naive_rank(lists(m))
 
 
 @given(invertible_matrices())
@@ -116,7 +146,7 @@ def test_inverse_round_trip(m):
 
 
 def test_singular_reports_rank():
-    m = BitMatrix.from_text("11/11")
+    m = BitMatrix(2, 2, (3, 3))
     with pytest.raises(SingularError) as e:
         m.inverse()
     assert e.value.rank == 1
@@ -151,7 +181,7 @@ def test_matmul_against_naive_across_vector_switch(rows, inner, cols, ones):
     word = (lambda w: (1 << w) - 1) if ones else (lambda w: rng.randrange(1 << w))
     a = BitMatrix(rows, inner, tuple(word(inner) for _ in range(rows)))
     b = BitMatrix(inner, cols, tuple(word(cols) for _ in range(inner)))
-    assert (a @ b).to_lists() == naive_mul(a.to_lists(), b.to_lists())
+    assert lists(a @ b) == naive_mul(lists(a), lists(b))
 
 
 @st.composite
@@ -196,7 +226,7 @@ def test_mul_bits_against_naive(case):
     all-ones product sums 64 ones in every entry."""
     n, a, b = case
     got = _mul_bits(_to_bits(a, n), _to_bits(b, n))
-    assert got.tolist() == naive_mul(BitMatrix(n, n, tuple(a)).to_lists(), BitMatrix(n, n, tuple(b)).to_lists())
+    assert got.tolist() == naive_mul(lists(BitMatrix(n, n, tuple(a))), lists(BitMatrix(n, n, tuple(b))))
 
 
 def test_large_inverse_round_trip():
@@ -231,7 +261,7 @@ def _seeded(rows, cols, seed):
 @example(_seeded(64, 17, 2))
 @example(_seeded(17, 64, 3))
 def test_packed_rank_against_naive_wide(m):
-    assert m.rank() == naive_rank(m.to_lists())
+    assert m.rank() == naive_rank(lists(m))
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,7 +279,7 @@ def test_packed_inverse_against_naive_wide(m, width, seed):
     columns, or SingularError carrying the rank from both."""
     b = _seeded(m.rows, width, seed)
     rows = [(x << width) | y for x, y in zip(m.words, b.words)]
-    rank = naive_rank(m.to_lists())
+    rank = naive_rank(lists(m))
     if rank < m.rows:
         for divide in (m.inverse, lambda: _solve(rows, width)):
             with pytest.raises(SingularError) as e:
@@ -259,10 +289,10 @@ def test_packed_inverse_against_naive_wide(m, width, seed):
         return
     inv = m.inverse()
     assert m @ inv == identity(m.rows) == inv @ m
-    textbook = naive_inverse(m.to_lists())
-    assert inv.to_lists() == textbook
+    textbook = naive_inverse(lists(m))
+    assert lists(inv) == textbook
     quotient = BitMatrix(m.rows, width, _solve(rows, width))
-    assert quotient.to_lists() == naive_mul(textbook, b.to_lists())
+    assert lists(quotient) == naive_mul(textbook, lists(b))
 
 
 @st.composite
@@ -303,14 +333,14 @@ def test_stack_elimination_against_naive(case):
     ``_solve`` on the same rows and the textbook a^-1 times b."""
     n, width, a, b = case
     ranks, x = _eliminate(np.array(a, np.uint64), np.array(b, np.uint64))
-    assert ranks.tolist() == [naive_rank(BitMatrix(n, n, tuple(w)).to_lists()) for w in a]
+    assert ranks.tolist() == [naive_rank(lists(BitMatrix(n, n, tuple(w)))) for w in a]
     for words, right, rank, got in zip(a, b, ranks.tolist(), x.tolist()):
         if rank < n:
             continue
         assert tuple(got) == _solve([(p << width) | q for p, q in zip(words, right)], width)
-        textbook = naive_mul(naive_inverse(BitMatrix(n, n, tuple(words)).to_lists()),
-                             BitMatrix(n, width, tuple(right)).to_lists())
-        assert BitMatrix(n, width, tuple(got)).to_lists() == textbook
+        textbook = naive_mul(naive_inverse(lists(BitMatrix(n, n, tuple(words)))),
+                             lists(BitMatrix(n, width, tuple(right))))
+        assert lists(BitMatrix(n, width, tuple(got))) == textbook
     assert _eliminate(np.array(a, np.uint64))[0].tolist() == ranks.tolist()
 
 

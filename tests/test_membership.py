@@ -34,6 +34,7 @@ from helpers import (
     N2_ROWS,
     border_all_ones,
     forced_singular_sequence,
+    lists,
     naive_corner,
     naive_corner_witness,
     naive_inverse,
@@ -265,7 +266,7 @@ def test_corner_witness_against_naive_sweep():
 
 
 def test_corner_n2_means_central_shuffle():
-    c2 = BitMatrix.from_text("01/10")
+    c2 = BitMatrix(2, 2, (1, 2))
     for P in all_n2_sequences():
         assert check_corner_condition(P) == (P[1] == c2)
 
@@ -348,10 +349,10 @@ def test_shared_pass_against_naive(n, kind, seed):
     report, prefix, x, x_inv = _structure(P)
     naive_prefix = naive_prefix_products(P)
     assert prefix.tolist() == naive_prefix
-    assert x.to_lists() == naive_spreading(P, naive_prefix)
+    assert lists(x) == naive_spreading(P, naive_prefix)
     assert x == spreading_matrix(P)
     if report.x_invertible:
-        assert x_inv.to_lists() == naive_inverse(x.to_lists())
+        assert lists(x_inv) == naive_inverse(lists(x))
     else:
         assert x_inv is None
     rows = _claimed_rows(P, prefix).tolist()
@@ -368,13 +369,13 @@ def test_prefix_products_exact_when_sums_reach_64():
     chain must still give the naive prefix products and X."""
     n = 64
     u = BitMatrix(n, n, tuple((1 << (n - r)) - 1 for r in range(n)))
-    rows = u.to_lists()
+    rows = lists(u)
     assert sum(rows[0][k] * rows[k][n - 1] for k in range(n)) == n
     P = AlgorithmSeq((u,) * (n + 1))
     report, prefix, x, _ = _structure(P)
     naive_prefix = naive_prefix_products(P)
     assert prefix.tolist() == naive_prefix
-    assert x.to_lists() == naive_spreading(P, naive_prefix)
+    assert lists(x) == naive_spreading(P, naive_prefix)
     assert report == check_membership(P)
 
 
@@ -428,9 +429,9 @@ def test_frozen_counterexamples_still_split_conditions(name):
 
 
 def _lists_product(mats):
-    acc = mats[0].to_lists()
+    acc = lists(mats[0])
     for m in mats[1:]:
-        acc = naive_mul(acc, m.to_lists())
+        acc = naive_mul(acc, lists(m))
     return acc
 
 
@@ -438,7 +439,7 @@ def test_product_witness_names_first_bad_row():
     P = parse_document(read_fixture("break_product_n3.alg")).seq
     witness = check_membership(P).witness
     assert witness.startswith("product of all stage matrices differs from X*X^T")
-    x = spreading_matrix(P).to_lists()
+    x = lists(spreading_matrix(P))
     gram = naive_mul(x, [list(col) for col in zip(*x)])
     total = _lists_product(P.matrices)
     first = next(r for r in range(P.n) if total[r] != gram[r])
@@ -464,7 +465,7 @@ def _with_product_condition(P: AlgorithmSeq) -> AlgorithmSeq:
     x = naive_spreading(P)
     gram = naive_mul(x, [list(col) for col in zip(*x)])
     rows = naive_mul(naive_inverse(naive_prefix_products(P)[P.n - 1]), gram)
-    last = BitMatrix.from_text("/".join("".join(map(str, r)) for r in rows))
+    last = BitMatrix(P.n, P.n, tuple(int("".join(map(str, r)), 2) for r in rows))
     return AlgorithmSeq(P.matrices[:-1] + (last,))
 
 

@@ -1,8 +1,11 @@
 """The public surface: one declaration per name, nothing dead left over."""
 
 import importlib
+import importlib.util
 import inspect
 import pkgutil
+import sys
+from pathlib import Path
 
 import linwht
 from linwht import algorithm, config, factory, gf2, groups, oracle
@@ -30,7 +33,7 @@ PUBLIC = frozenset(
 # BitMatrix's public methods; adding or removing one is a surface change too.
 BITMATRIX_PUBLIC = frozenset(
     {
-        "apply", "from_text", "inverse", "rank", "to_lists", "to_text", "transpose",
+        "apply", "inverse", "rank", "to_text", "transpose",
     }
 )
 
@@ -63,7 +66,7 @@ def test_removed_helpers_are_gone():
               "reversal_matrix", "_mul_words_int"),
         BitMatrix: (
             "from_rows", "from_cols", "entry", "__add__", "is_square", "is_permutation",
-            "is_invertible",
+            "is_invertible", "from_text", "to_lists",
         ),
         algorithm: ("seq_product",),
         algorithm.AlgorithmSeq: ("__len__",),
@@ -82,6 +85,24 @@ def test_removed_helpers_are_gone():
 def test_bitmatrix_methods_are_pinned():
     assert {name for name in dir(BitMatrix) if not name.startswith("_")} == BITMATRIX_PUBLIC
     assert [f.name for f in BitMatrix.__dataclass_fields__.values()] == ["rows", "cols", "words"]
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    """Every entry point the benchmark's tracer wraps still exists, so that
+    removing or renaming one fails here and not only in a traced benchmark run."""
+    path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look the module up
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for target in tracer.TARGETS:
+        module_name, _, class_name = target.owner.partition(":")
+        owner = importlib.import_module(module_name)
+        if class_name:
+            assert target.attr in getattr(owner, class_name).__dict__, target.name
+        else:
+            assert callable(getattr(owner, target.attr, None)), target.name
 
 
 def test_size_bounds_live_in_config():

@@ -135,6 +135,24 @@ def test_document_plain_comments_not_metadata():
     assert doc.metadata == {}
 
 
+def test_document_metadata_stops_at_the_sequence():
+    """``# k: v`` lines after the first non-comment line are comments, not metadata."""
+    text = "# name: x\n\n  # seed: 1\r\nn=1; 1;\n# late: 2\n1\n# after: 3\n"
+    doc = parse_document(text)
+    assert doc.metadata == {"name": "x", "seed": "1"}
+    assert doc.seq.key() == "1;1"
+
+
+def test_document_one_row_per_line_n64():
+    P = sample_member(64, 3)
+    rows = ";\n".join(m.to_text().replace("/", "/\n") for m in P)
+    text = "# name: member\n# seed: 3\nn=64;\n" + rows + "\n# trailing: no\n"
+    assert text.count("\n") == 4 + 65 * 64
+    doc = parse_document(text)
+    assert doc.metadata == {"name": "member", "seed": "3"}
+    assert doc.seq == P
+
+
 def test_document_error_line_accounts_for_header():
     with pytest.raises(ParseError) as e:
         parse_document("# name: x\n# seed: 1\nn=2; 100/01; 01/10; 01/10\n")
@@ -188,8 +206,10 @@ def test_factor_grammar_rejects_malformed(text):
 @example(64, 1, True)
 @example(64, 2, False)
 def test_format_sequence_joins_stage_texts(n, seed, member):
-    """The one-array formatter writes what joining each stage's ``to_text`` writes."""
+    """``key()``'s one-array writer writes what joining each stage's ``to_text``
+    writes, and the formatter writes the key."""
     P = sample_member(n, seed) if member else random_sequence(n, random.Random(seed))
+    assert P.key() == ";".join(m.to_text() for m in P)
     assert format_sequence(P) == f"n={P.n}; " + "; ".join(m.to_text() for m in P)
 
 
