@@ -23,15 +23,23 @@ from .gf2 import BitMatrix, DimensionError, SingularError, _eliminate, _to_bits,
 __all__ = ["AlgorithmSeq", "reversed_inverted"]
 
 
-def _check(mats: Sequence[BitMatrix], n: int, what: str, start: int = 0) -> None:
-    """Raise unless every matrix is invertible and n x n, n <= 64: all shapes, then all
-    ranks in one stack elimination; ``what.format(start + i)`` names matrix i in the error."""
+def _check(mats: Sequence[BitMatrix], n: int, what: str, start: int = 0) -> np.ndarray:
+    """``_proved`` on the row words of ``mats`` once every one is n x n (n <= 64);
+    ``what.format(start + i)`` names matrix i in the error."""
     for i, m in enumerate(mats):
         if m.rows != n or m.cols != n:
             raise DimensionError(f"{what.format(start + i)} is {m.rows}x{m.cols}, expected {n}x{n}")
-    for i, rank in enumerate(_eliminate([m.words for m in mats])[0].tolist()):
-        if rank != n:
+    return _proved(np.array([m.words for m in mats], np.uint64), what, start)
+
+
+def _proved(words: np.ndarray, what: str, start: int = 0) -> np.ndarray:
+    """``words``, (N, n) uint64, made read-only once every matrix is invertible, all ranked
+    in one stack elimination; else an error for the first rank below n."""
+    for i, rank in enumerate(_eliminate(words)[0].tolist()):
+        if rank != words.shape[1]:
             raise SingularError(f"{what.format(start + i)} is singular", rank)
+    words.flags.writeable = False
+    return words
 
 
 def _trusted(cls, **fields):
@@ -42,27 +50,52 @@ def _trusted(cls, **fields):
     return obj
 
 
-@dataclass(frozen=True)
+def _sequence(words) -> AlgorithmSeq:
+    """The ``AlgorithmSeq`` of proved (n+1, n) stage words, made read-only, unchecked."""
+    stack = np.asarray(words, np.uint64)
+    stack.flags.writeable = False
+    return _trusted(AlgorithmSeq, stack=stack)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class AlgorithmSeq:
-    """Immutable sequence of n+1 invertible n x n stage matrices."""
+    """Immutable sequence of n+1 invertible n x n stage matrices, held as the row words of
+    all stages in one read-only (n+1, n) uint64 array, ``stack``.  The constructor checks
+    ``BitMatrix`` stages; ``matrices``, ``P[k]`` and iteration make them on demand."""
 
-    matrices: tuple[BitMatrix, ...]
+    stack: np.ndarray
 
-    def __post_init__(self):
-        n = len(self.matrices) - 1
+    def __init__(self, matrices: Sequence[BitMatrix]):
+        self.__post_init__(tuple(matrices))
+
+    def __post_init__(self, matrices: tuple[BitMatrix, ...]):
+        n = len(matrices) - 1
         if not 1 <= n <= N_MAX:
             raise DimensionError(f"an algorithm needs 2..{N_MAX + 1} stage matrices, got {n + 1}")
-        _check(self.matrices, n, "stage matrix {}")
+        object.__setattr__(self, "stack", _check(matrices, n, "stage matrix {}"))
 
     @property
     def n(self) -> int:
-        return len(self.matrices) - 1
+        return len(self.stack) - 1
+
+    @property
+    def matrices(self) -> tuple[BitMatrix, ...]:
+        return tuple(BitMatrix(self.n, self.n, tuple(w)) for w in self.stack.tolist())
 
     def __getitem__(self, k: int) -> BitMatrix:
-        return self.matrices[k]
+        return BitMatrix(self.n, self.n, tuple(self.stack[k].tolist()))
 
     def __iter__(self) -> Iterator[BitMatrix]:
         return iter(self.matrices)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AlgorithmSeq) and self.stack.tobytes() == other.stack.tobytes()
+
+    def __hash__(self) -> int:
+        return hash(self.stack.tobytes())
+
+    def __reduce__(self):  # a copied or unpickled stack is made read-only again
+        return _sequence, (self.stack,)
 
     def key(self) -> str:
         """Canonical text form, usable as a dictionary/dedupe key: each stage's
@@ -70,12 +103,10 @@ class AlgorithmSeq:
         n = self.n
         chars = np.full((n + 1, n, n + 1), ord("/"), np.uint8)  # a '/' ends each row ...
         chars[:, -1, -1] = ord(";")  # ... and a ';' each stage
-        np.add(_to_bits([m.words for m in self.matrices], n), ord("0"), out=chars[..., :n])
+        np.add(_to_bits(self.stack, n), ord("0"), out=chars[..., :n])
         return str(chars.reshape(-1)[:-1], "ascii")  # decoded in place: no bytes copy
 
 
 def reversed_inverted(P: AlgorithmSeq) -> AlgorithmSeq:
     """The sequence (P_n^-1, ..., P_0^-1), which computes the transpose map."""
-    n = P.n
-    inverses = _eliminate([m.words for m in reversed(P.matrices)], [identity(n).words] * (n + 1))[1]
-    return _trusted(AlgorithmSeq, matrices=tuple(BitMatrix(n, n, tuple(w)) for w in inverses.tolist()))
+    return _sequence(_eliminate(P.stack[::-1], [identity(P.n).words] * (P.n + 1))[1])

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .algorithm import AlgorithmSeq, _trusted, reversed_inverted
+from .algorithm import AlgorithmSeq, _sequence, reversed_inverted
 from .gf2 import BitMatrix, identity, rotation_matrix
 from .membership import NotMemberError, is_member
 
@@ -64,7 +64,7 @@ def to_sequency(P: AlgorithmSeq) -> AlgorithmSeq:
     bit-reversal squares to the identity, so applying this twice returns
     the original sequence).
     """
-    twisted = _trusted(AlgorithmSeq, matrices=(BitMatrix(P.n, P.n, P[0].words[::-1]),) + P.matrices[1:])
+    twisted = _sequence([P.stack[0, ::-1], *P.stack[1:]])
     if not (is_member(P) or is_member(twisted)):
         raise NotMemberError("sequence is neither a member nor a sequency reordering of one")
     return twisted

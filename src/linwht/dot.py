@@ -23,7 +23,7 @@ def export_dot(P: AlgorithmSeq) -> str:
     Membership is not required; failing sequences can be drawn too.
     Guarded by the export size limit (override via WHT_MAX_N).
     """
-    n = P.n
+    n, stages = P.n, P.matrices  # each P[k] makes its BitMatrix anew
     limit = active_limits().export_max_n
     if n > limit:
         raise SizeLimitError(f"dataflow export supports n <= {limit}, got {n}")
@@ -37,17 +37,17 @@ def export_dot(P: AlgorithmSeq) -> str:
     for j in range(size):
         lines.append(f'  out{j} [shape=plaintext, label="y{j}"];')
     for i in range(size):
-        q = P[n].apply(i)
+        q = stages[n].apply(i)
         lines.append(f'  in{i} -> s{n}b{q >> 1} [headlabel="{q & 1}"];')
     for k in range(n - 1, 0, -1):
         for p in range(size):
-            q = P[k].apply(p)
+            q = stages[k].apply(p)
             lines.append(
                 f'  s{k + 1}b{p >> 1} -> s{k}b{q >> 1} '
                 f'[taillabel="{p & 1}", headlabel="{q & 1}"];'
             )
     for p in range(size):
-        q = P[0].apply(p)
+        q = stages[0].apply(p)
         lines.append(f'  s1b{p >> 1} -> out{q} [taillabel="{p & 1}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

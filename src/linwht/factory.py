@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
-from .algorithm import AlgorithmSeq, _check, _trusted
+from .algorithm import AlgorithmSeq, _check, _sequence, _trusted
 from .config import BIT_INDEX_ENUM_MAX, MEMBER_ENUM_MAX, N_MAX
 from .gf2 import BitMatrix, DimensionError, _eliminate, _mul_bits, _to_bits, _words
 from .groups import _random_invertibles, enumerate_gl, enumerate_perm, random_invertible
@@ -71,20 +71,21 @@ class FactorTuple:
         return self.b.rows
 
 
-def _built(b: BitMatrix, qs: list) -> list[AlgorithmSeq]:
-    """The members (B, Q_1..Q_n), Q_i row words in ``qs``: all divisions in one stack
-    elimination, and every P_0 in one bit-stack product."""
+def _built(b: BitMatrix, qs) -> list[AlgorithmSeq]:
+    """The members (B, Q_1..Q_n), Q_i row words in ``qs``: every P_0 in one bit-stack product and
+    all divisions in one stack elimination, into one array whose (n+1, n) slices are their stacks."""
     n, count = b.rows, len(qs)
     # D_i = diag(Q_i, 1): each row of Q_i with a 0 appended, then e_n; D_{n+1} = B^T
     d = np.empty((count, n + 1, n), np.uint64)
     d[:, :n, :-1] = np.array(qs, np.uint64).reshape(count, n, n - 1) << np.uint64(1)
     d[:, :n, -1] = 1
     d[:, n] = b.transpose().words
+    stages = np.empty((count, n + 1, n), np.uint64)
+    stages[:, 0] = _words(_mul_bits(_to_bits(b.words, n), _to_bits(d[:, 0], n)))
     # P_i = D_i^{-1} * (C * D_{i+1}); C * D moves the rows of D up one place
     x = _eliminate(d[:, :-1].reshape(-1, n), np.roll(d[:, 1:], -1, axis=2).reshape(-1, n))[1]
-    p0 = _words(_mul_bits(_to_bits(b.words, n), _to_bits(d[:, 0], n)))
-    return [_trusted(AlgorithmSeq, matrices=tuple(BitMatrix(n, n, tuple(w)) for w in [p, *xi]))
-            for p, xi in zip(p0, x.reshape(count, n, n).tolist())]
+    stages[:, 1:] = x.reshape(count, n, n)
+    return [_sequence(s) for s in stages]
 
 
 def build(f: FactorTuple) -> AlgorithmSeq:
@@ -110,7 +111,7 @@ def factorize(P: AlgorithmSeq) -> FactorTuple:
     e = at == n - 1
     if (d[:, -1] != e).any() or (d[:, :, -1] != e).any():
         raise RuntimeError("internal error: factor matrix is not bordered")
-    qs = tuple(BitMatrix(n - 1, n - 1, tuple(q)) for q in _words(d[:, :-1, :-1]))
+    qs = tuple(BitMatrix(n - 1, n - 1, tuple(q)) for q in _words(d[:, :-1, :-1]).tolist())
     return _trusted(FactorTuple, b=b, qs=qs)
 
 
@@ -120,7 +121,7 @@ def sample_member(n: int, seed: Optional[int] = None) -> AlgorithmSeq:
         raise DimensionError(f"n must be in 1..{N_MAX}, got {n}")
     rng = random.Random(seed)
     b = random_invertible(n, rng)
-    return build(_trusted(FactorTuple, b=b, qs=tuple(_random_invertibles(n - 1, n, rng))))
+    return _built(b, _random_invertibles(n - 1, n, rng)[None])[0]
 
 
 def _members(

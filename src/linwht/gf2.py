@@ -11,17 +11,16 @@ integers they encode: the packed form of the binary digits of ``i``
 Each kernel has a one-matrix shape and a stack shape.  One system runs
 in one int (``rank``, ``_solve``), row i in the bit slot [i*w, (i+1)*w),
 so one carry-free ``big ^= (sel ^ pivot) * pivot_row`` clears a pivot's
-column from every other row; ``_solve`` does so on the rows of [a | b]
-for every column of a, pivot rows included, leaving a^-1 * b.  ``rank``
-keeps its own forward elimination, which stops once every row is a pivot:
-run on ``_solve``'s loop it measured slower.  A stack of N systems of one
-size (``_eliminate``) loops over the n pivot columns only, each step a few
-numpy operations on all N*n row words.  ``@`` is an int loop,
-``_mul_bits`` one BLAS product over a 0/1 stack.  A job on a stack makes
-one stack call: the checks of stages and of factors, ``reversed_inverted``,
-``build``'s divisions and P_0, ``sample_member``'s candidate ranks.  Two
-loops of single calls stay, as one call measured slower: the oracle's n
-divisions and ``factorize``'s n products.
+column from every other row; ``_solve`` does so on the rows of [a | b],
+leaving a^-1 * b (``inverse``, the oracle's n divisions); ``rank`` keeps
+its own loop, faster as it stops once every row is a pivot.  A stack of N
+systems of one size, as uint64 row words, runs one numpy loop over the n
+pivot columns (``_eliminate``): without b, the rank loop, for the checks
+of given or parsed stages and of factors, and ``sample_member``'s
+candidates; with b, the Gauss-Jordan loop, for ``build``'s divisions and
+``reversed_inverted``.  ``@`` is an int loop, ``_mul_bits`` one BLAS
+product over a 0/1 stack (the prefix chain, every P_0 of ``build``,
+``factorize``'s n products, kept as n calls: one GEMM measured slower).
 
 Everything here is immutable and every operation returns a new value,
 so instances can be shared freely across threads.
@@ -106,10 +105,20 @@ def _eliminate(a, b=None):
     a = np.asarray(a, np.uint64)
     N, n = a.shape
     a = (a << np.uint64(64 - n)).view(np.int64)  # each step shifts the next column into the sign bit
-    parts = [a] if b is None else [a, np.array(b, np.uint64).view(np.int64)]
-    at, live, pivots = np.arange(N) * n, np.full(N * n, -1, np.int64), np.empty((N, n), np.intp)
+    at = np.arange(N) * n
+    if b is None:  # the pivot row clears its bit everywhere, itself included, and drops out
+        ranks = np.zeros(N, np.int64)
+        for _ in range(n):
+            flat = a.reshape(-1) >> 63  # -1 on every row with the bit, else 0
+            p = flat.reshape(N, n).argmin(axis=1) + at  # first row with the bit, if any
+            a ^= flat.reshape(N, n) & a.reshape(-1)[p][:, None]
+            ranks -= flat[p]
+            a <<= 1
+        return ranks, None
+    parts = [a, np.array(b, np.uint64).view(np.int64)]
+    live, pivots = np.full(N * n, -1, np.int64), np.empty((N, n), np.intp)
     for c in range(n):
-        flat = a.reshape(-1) >> 63  # -1 on every row with the bit, else 0
+        flat = a.reshape(-1) >> 63
         cand = flat & live
         p = cand.reshape(N, n).argmin(axis=1) + at  # first live row with the bit
         hit = cand[p]
@@ -119,8 +128,7 @@ def _eliminate(a, b=None):
         live[p] ^= hit
         pivots[:, c] = p
         a <<= 1
-    x = None if b is None else parts[1].reshape(-1)[pivots].view(np.uint64)
-    return n + live.reshape(N, n).sum(axis=1), x
+    return n + live.reshape(N, n).sum(axis=1), parts[1].reshape(-1)[pivots].view(np.uint64)
 
 
 @dataclass(frozen=True)
@@ -216,19 +224,21 @@ class BitMatrix:
 
 def _to_bits(words, n: int) -> np.ndarray:
     """Nested row words as 0/1 uint8 along a new last axis of n <= 64 columns, MSB first."""
-    return np.unpackbits(np.array(words, dtype=">u8")[..., None].view(np.uint8), axis=-1)[..., 64 - n :]
+    low = -(-n // 8)  # only the low ceil(n/8) bytes of each word are unpacked
+    octets = np.array(words, ">u8")[..., None].view(np.uint8)[..., 8 - low :]
+    return np.unpackbits(octets, axis=-1)[..., 8 * low - n :]
 
 
-def _words(bits: np.ndarray) -> list:
-    """Row words of a 0/1 stack of at most 64 columns, as lists nested like the stack."""
+def _words(bits: np.ndarray) -> np.ndarray:
+    """Row words of a 0/1 stack of at most 64 columns, as uint64 shaped like its rows."""
     padded = np.zeros(bits.shape[:-1] + (64,), np.uint8)
     padded[..., 64 - bits.shape[-1] :] = bits
-    return np.packbits(padded, axis=-1).view(">u8")[..., 0].tolist()
+    return np.packbits(padded, axis=-1).view(">u8")[..., 0].astype(np.uint64)
 
 
 def _packed(bits: np.ndarray) -> BitMatrix:
     """The BitMatrix of a 2-D 0/1 array of at most 64 columns."""
-    return BitMatrix(*bits.shape, tuple(_words(bits)))
+    return BitMatrix(*bits.shape, tuple(_words(bits).tolist()))
 
 
 def _mul_bits(a: np.ndarray, b: np.ndarray) -> np.ndarray:

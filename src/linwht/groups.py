@@ -13,6 +13,8 @@ import random
 import warnings
 from typing import Iterator
 
+import numpy as np
+
 from .config import GL_ENUM_MAX
 from .gf2 import BitMatrix, _eliminate
 
@@ -77,13 +79,24 @@ def random_invertible(n: int, rng: random.Random) -> BitMatrix:
             return m
 
 
-def _random_invertibles(n: int, count: int, rng: random.Random) -> list[BitMatrix]:
-    """``[random_invertible(n, rng) for _ in range(count)]``, ranking candidates in rounds of
-    about 3.5 per matrix still needed; ``rng`` ends past the last accepted candidate."""
-    out: list[BitMatrix] = []
+def _random_words(n: int, k: int, rng: random.Random) -> np.ndarray:
+    """``[rng.getrandbits(n) for _ in range(k)]`` as uint64, n <= 64, in one call: CPython builds
+    a word from one 32-bit output (n <= 32) or two, low first, so both take the same outputs."""
+    if n <= 32:  # getrandbits(0) takes no output
+        w = np.frombuffer(rng.getrandbits(32 * k if n else 0).to_bytes(4 * k, "little"), "<u4")
+        return (w >> np.uint32(32 - n)).astype(np.uint64)
+    w = np.frombuffer(rng.getrandbits(64 * k).to_bytes(8 * k, "little"), "<u8")
+    return w >> np.uint64(96 - n) << np.uint64(32) | w & np.uint64(0xFFFFFFFF)
+
+
+def _random_invertibles(n: int, count: int, rng: random.Random) -> np.ndarray:
+    """The row words of ``[random_invertible(n, rng) for _ in range(count)]``, (count, n) uint64,
+    from rounds of about 3.5 candidates per matrix still needed; ``rng`` ends past the last round."""
+    out = np.empty((0, n), np.uint64)
     while (need := count - len(out)) > 0:
-        cands = [[rng.getrandbits(n) for _ in range(n)] for _ in range(math.ceil(3.5 * need))]
-        out += [BitMatrix(n, n, tuple(w)) for w, r in zip(cands, _eliminate(cands)[0]) if r == n][:need]
+        k = math.ceil(3.5 * need)
+        cands = _random_words(n, k * n, rng).reshape(k, n)
+        out = np.concatenate([out, cands[_eliminate(cands)[0] == n][:need]])
     return out
 
 

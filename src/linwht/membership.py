@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algorithm import AlgorithmSeq, _trusted
+from .algorithm import AlgorithmSeq, _sequence
 from .config import N_MAX
 from .gf2 import BitMatrix, DimensionError, SingularError, _mul_bits, _packed, _to_bits, parity
 from .groups import random_invertible
@@ -86,7 +86,7 @@ def _claimed_rows(P: AlgorithmSeq, prefix: np.ndarray) -> np.ndarray:
     bottom row of P_{0:n-k}^{-1}, as R * P_{0:n-1}^{-1}: row k of R is the bottom row of
     P_{n-k+1:n-1} (e for k = 1), the last column of the chain P_{n-1}^T * ... * P_j^T."""
     n = P.n
-    stages = _to_bits([m.words for m in P.matrices], n)[n - 1 : 0 : -1]
+    stages = _to_bits(P.stack, n)[n - 1 : 0 : -1]
     r = np.vstack([np.arange(n) == n - 1, _chain(stages.transpose(0, 2, 1))[:, :, n - 1]])
     return _mul_bits(r, _to_bits(_packed(prefix[n - 1]).inverse().words, n))
 
@@ -108,7 +108,7 @@ def _structure(P: AlgorithmSeq) -> tuple[CheckReport, np.ndarray, BitMatrix, Opt
     Only X is packed, for one ``inverse``: most passes check members, whose X is
     invertible, so a singular X's rank comes from the ``SingularError``."""
     n = P.n
-    prefix = _chain(_to_bits([m.words for m in P.matrices], n))
+    prefix = _chain(_to_bits(P.stack, n))
     # row c of X^T is the last column of P_{0:n-1-c}
     xt = prefix[n - 1 :: -1, :, n - 1]
     x = _packed(xt.T)
@@ -241,7 +241,7 @@ def find_counterexample(
     rng = random.Random(seed)
     for _ in range(budget):
         # random_invertible proves each stage, so the draw needs no re-check
-        P = _trusted(AlgorithmSeq, matrices=tuple(random_invertible(n, rng) for _ in range(n + 1)))
+        P = _sequence([random_invertible(n, rng).words for _ in range(n + 1)])
         r = check_membership(P)
         if which == "product" and r.cond_inverse and not r.cond_product:
             return P

@@ -112,11 +112,11 @@ def _run(P: AlgorithmSeq, first: int, x: np.ndarray | None, final_perm: bool) ->
     size = 1 << n
     half = size >> 1
     rot = [1 << (n - 2 - r) for r in range(n - 1)] + [1 << (n - 1)]  # rows of C
-    maps = []
+    stages, maps = P.stack.tolist(), []
     for k in range(n, first - 1, -1):
-        m = _solve([(w << n) | c for w, c in zip(P[k].words, rot)], n)  # P_k^-1 C
+        m = _solve([(w << n) | c for w, c in zip(stages[k], rot)], n)  # P_k^-1 C
         maps.append(m if k == n else m[-1:] + m[:-1])  # C^-1 moves the rows down
-    final = P[0].words if final_perm else [1 << (n - 1 - r) for r in range(n)]
+    final = stages[0] if final_perm else [1 << (n - 1 - r) for r in range(n)]
     if maps:  # Q C turns each row word of Q right
         final = [(w >> 1) | ((w & 1) << (n - 1)) for w in final]
     *tables, dest = perm_indices(maps + [final], n)

@@ -18,11 +18,12 @@ then the n inner matrices ((n-1) x (n-1) each); for n=1 the inner
 matrices are empty and omitted.
 
 At n=64 a sequence is 270 KB of text.  The scanner reads a matrix in one
-regex match only where the row-by-row loop would read the same words and
+regex match only where the row-by-row loop would read the same rows and
 stop at the same offset, and else runs that loop from the same position, so
-every error text, line and column is the loop's.  ``format_sequence`` writes
-``AlgorithmSeq.key()``, the one writer of a stage stack, with ``; `` between
-stages.
+every error text, line and column is the loop's.  Either way it gives the
+canonical row text, and ``parse_sequence`` decodes all n+1 of them into
+the stage words at once.  ``format_sequence`` writes ``AlgorithmSeq.key()``,
+the one writer of a stage stack, with ``; `` between stages.
 """
 
 from __future__ import annotations
@@ -30,12 +31,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import repeat
 
-from .algorithm import AlgorithmSeq
+import numpy as np
+
+from .algorithm import AlgorithmSeq, _proved, _sequence
 from .config import N_MAX
 from .factory import FactorTuple
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, _words
 
 __all__ = [
     "ParseError",
@@ -100,15 +102,16 @@ class _Scanner:
             raise self.fail(f"expected {ch!r}, found {shown}")
         self.pos += 1
 
-    def matrix(self, rows: int, cols: int, label: str) -> BitMatrix:
+    def matrix(self, rows: int, cols: int, label: str) -> str:
+        """The matrix's canonical row text: rows of exactly ``cols`` digits joined by ``/``."""
         if rows:
             self.skip_space()
             m = _compact(rows, cols).match(self.text, self.pos)
             # a bit run after space or a comment would extend the last row in the loop below
             if m and not _BITS.match(self.text, end := _SPACE.match(self.text, m.end()).end()):
                 self.pos = end
-                return BitMatrix(rows, cols, tuple(map(int, m.group().split("/"), repeat(2))))
-        words = []
+                return m.group()
+        texts = []
         for r in range(rows):
             if r:
                 self.expect("/")
@@ -120,8 +123,8 @@ class _Scanner:
             self.skip_space()
             if len(bits) != cols:
                 raise self.fail(f"{label}: row {r} has {len(bits)} digits, expected {cols}")
-            words.append(int(bits, 2))
-        return BitMatrix(rows, cols, tuple(words))
+            texts.append(bits)
+        return "/".join(texts)
 
     def header(self) -> int:
         self.expect("n")
@@ -146,15 +149,24 @@ class _Scanner:
             raise self.fail(f"unexpected trailing input after {expected}")
 
 
+def _decode(texts: list[str], n: int) -> np.ndarray:
+    """The row words, (len(texts), n) uint64, of n x n matrices in canonical row text,
+    decoded at once: with a '/' after each text, every row is n digits and a '/'."""
+    if not n:
+        return np.zeros((len(texts), 0), np.uint64)
+    chars = np.frombuffer("/".join([*texts, ""]).encode(), np.uint8).reshape(len(texts), n, n + 1)
+    return _words(chars[..., :n] - ord("0"))
+
+
 def parse_sequence(text: str) -> AlgorithmSeq:
     sc = _Scanner(text)
     n = sc.header()
-    mats = [sc.matrix(n, n, "matrix 0")]
+    texts = [sc.matrix(n, n, "matrix 0")]
     for k in range(1, n + 1):
         sc.expect(";")
-        mats.append(sc.matrix(n, n, f"matrix {k}"))
+        texts.append(sc.matrix(n, n, f"matrix {k}"))
     sc.finish(f"{n + 1} matrices")
-    return AlgorithmSeq(tuple(mats))
+    return _sequence(_proved(_decode(texts, n), "stage matrix {}"))
 
 
 def format_sequence(P: AlgorithmSeq) -> str:
@@ -199,7 +211,8 @@ def parse_factors(text: str) -> FactorTuple:
             sc.expect(";")
         qs.append(sc.matrix(n - 1, n - 1, f"inner matrix {k}"))
     sc.finish("the factor matrices")
-    return FactorTuple(b, tuple(qs))
+    inner = (BitMatrix(n - 1, n - 1, tuple(w)) for w in _decode(qs, n - 1).tolist())
+    return FactorTuple(BitMatrix(n, n, tuple(_decode([b], n)[0].tolist())), tuple(inner))
 
 
 def format_factors(f: FactorTuple) -> str:

@@ -1,6 +1,8 @@
+import copy
 import hashlib
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,7 @@ from linwht.factory import census, survey_members
 from linwht.gf2 import BitMatrix, DimensionError, SingularError, rotation_matrix
 from linwht.groups import count_bit_index_algorithms, random_invertible
 from linwht.membership import spreading_matrix
-from linwht.textio import format_sequence, parse_document, parse_factors
+from linwht.textio import AlgorithmDocument, format_document, format_sequence, parse_document, parse_factors
 
 from helpers import N2_ROWS, naive_is_permutation, read_fixture
 
@@ -44,11 +46,18 @@ def random_factors(n: int, seed: int) -> FactorTuple:
 
 
 def assert_trusted_values_pass_checks(n: int, seed: int) -> None:
-    """What build, reversed_inverted, to_sequency, factorize and sample_member make
-    without the constructor check equals, and hashes like, the same value checked."""
+    """What build, reversed_inverted, to_sequency, the parser, enumerate_members(2),
+    factorize and sample_member make without the constructor check holds its stages
+    as one read-only (n+1, n) uint64 array, and equals, and hashes like, the same
+    value checked."""
     f = random_factors(n, seed)
     P = build(f)
-    for Q in (P, reversed_inverted(P), to_sequency(P)):
+    parsed = parse_document(format_document(AlgorithmDocument(P, {"seed": str(seed)}))).seq
+    for Q in (P, reversed_inverted(P), to_sequency(P), parsed, *enumerate_members(2)):
+        m = Q.n
+        assert Q.stack.dtype == np.uint64 and Q.stack.shape == (m + 1, m)
+        assert not Q.stack.flags.writeable and not copy.deepcopy(Q).stack.flags.writeable
+        assert Q.stack.tolist() == [list(s.words) for s in Q.matrices]
         checked = AlgorithmSeq(Q.matrices)
         assert checked == Q and hash(checked) == hash(Q)
     g = factorize(P)

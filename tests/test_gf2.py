@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import numpy as np
@@ -206,7 +208,7 @@ def test_bit_stack_round_trip(case):
     bits = _to_bits(words, n)
     assert bits.shape == (len(words), len(words[0]), n)
     assert bits.tolist() == [[[(w >> (n - 1 - j)) & 1 for j in range(n)] for w in ws] for ws in words]
-    assert _words(bits) == words
+    assert _words(bits).tolist() == words
     assert [_packed(b) for b in bits] == [BitMatrix(len(ws), n, tuple(ws)) for ws in words]
 
 
@@ -322,18 +324,35 @@ def stacks(draw):
     return n, width, a, b
 
 
+def _singular_stack(n):
+    """A case of ``stacks`` with no invertible member: a zero matrix, one with a repeated
+    row and one whose last row is the sum of the others (at n = 1 all three are zero)."""
+    rows = list(random_invertible(n, random.Random(n)).words)[:-1]
+    repeated = rows + rows[:1] if n > 1 else [0]
+    dependent = rows + [functools.reduce(operator.xor, rows, 0)]
+    return n, n, [[0] * n, repeated, dependent], [_seeded(n, n, s).words for s in range(3)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(stacks())
 @example((64, 64, [[(1 << 64) - 1 - (1 << r) for r in range(64)], list(_seeded(64, 64, 10).words),
                    [(1 << 63) | w for w in _seeded(64, 64, 11).words]],
           [_seeded(64, 64, 12).words] * 3))
 @example((1, 1, [[0], [1]], [(1,), (1,)]))
+@example(_singular_stack(1))
+@example(_singular_stack(2))
+@example(_singular_stack(63))
+@example(_singular_stack(64))
+@example((64, 5, [list(random_invertible(64, random.Random(5)).words)], [_seeded(64, 5, 6).words]))
 def test_stack_elimination_against_naive(case):
-    """Each rank equals the textbook rank, and each full-rank quotient equals
-    ``_solve`` on the same rows and the textbook a^-1 times b."""
+    """Each rank equals the textbook rank, with and without right parts (the rank-only
+    loop), and each full-rank quotient equals ``_solve`` on the same rows and the
+    textbook a^-1 times b."""
     n, width, a, b = case
+    naive = [naive_rank(lists(BitMatrix(n, n, tuple(w)))) for w in a]
+    assert _eliminate(np.array(a, np.uint64))[0].tolist() == naive
     ranks, x = _eliminate(np.array(a, np.uint64), np.array(b, np.uint64))
-    assert ranks.tolist() == [naive_rank(lists(BitMatrix(n, n, tuple(w)))) for w in a]
+    assert ranks.tolist() == naive
     for words, right, rank, got in zip(a, b, ranks.tolist(), x.tolist()):
         if rank < n:
             continue
@@ -341,7 +360,6 @@ def test_stack_elimination_against_naive(case):
         textbook = naive_mul(naive_inverse(lists(BitMatrix(n, n, tuple(words)))),
                              lists(BitMatrix(n, width, tuple(right))))
         assert lists(BitMatrix(n, width, tuple(got))) == textbook
-    assert _eliminate(np.array(a, np.uint64))[0].tolist() == ranks.tolist()
 
 
 @pytest.mark.parametrize("n", [2, 31, 32, 33, 63, 64])

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -14,6 +15,7 @@ from linwht.groups import (
     enumerate_perm,
     random_invertible,
     _random_invertibles,
+    _random_words,
 )
 
 from helpers import brute_gl, naive_is_permutation
@@ -65,16 +67,28 @@ def test_random_invertible_degenerate():
 
 @pytest.mark.parametrize("m", [0, 1, 2, 15, 63, 64])
 def test_batched_draws_follow_the_stream(m):
-    """The batched drawer yields what sequential draws from an equal-seeded
-    stream yield, for every count up to n = m + 1; at m = 0 it uses no bits."""
+    """The batched drawer yields the row words of what sequential draws from an
+    equal-seeded stream yield, for every count up to n = m + 1; at m = 0 it uses no bits."""
     for count in range(1, m + 2):
         ours, theirs = random.Random(count), random.Random(count)
         state = ours.getstate()
         got = _random_invertibles(m, count, ours)
-        assert got == [random_invertible(m, theirs) for _ in range(count)]
-        assert all(g.rows == g.cols == m for g in got)
+        assert got.tolist() == [list(random_invertible(m, theirs).words) for _ in range(count)]
+        assert got.shape == (count, m) and got.dtype == np.uint64
         if m == 0:
             assert ours.getstate() == state
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 31, 32, 33, 63, 64])
+@pytest.mark.parametrize("k", [1, 7, 224])
+def test_one_call_draw_follows_the_stream(n, k):
+    """One ``getrandbits`` call gives the words of k calls of ``getrandbits(n)``
+    and leaves the generator in the same state."""
+    ours, theirs = random.Random(n * 1000 + k), random.Random(n * 1000 + k)
+    got = _random_words(n, k, ours)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [theirs.getrandbits(n) for _ in range(k)]
+    assert ours.getstate() == theirs.getstate()
 
 
 def test_gl2_sampling_uniform():
