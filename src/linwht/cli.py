@@ -198,6 +198,9 @@ def _cmd_bench(args) -> int:
               f"build_ms={best_ms(lambda: build(f))} factorize_ms={best_ms(lambda: factorize(P))} "
               f"format_ms={best_ms(lambda: format_document(doc))} "
               f"parse_ms={best_ms(lambda: parse_document(text))}")
+    for n in range(10, min(12, guard) + 1):
+        P = sample_member(n, seed=n)
+        print(f"n={n} evaluate_ms={best_ms(lambda: evaluate(P))}")
     return 0
 
 
@@ -252,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_export_dot)
 
-    p = sub.add_parser("bench", help="time the fast check, construction and text I/O across sizes")
+    p = sub.add_parser("bench", help="time the fast check, construction, text I/O and dense evaluate")
     p.add_argument("--sizes", default="3,4,8,16,32,64")
     p.add_argument("--repeat", type=int, default=5)
     p.set_defaults(func=_cmd_bench)

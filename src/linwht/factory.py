@@ -158,7 +158,7 @@ def census(
     verify: Optional[str] = "fast",
     emit: Callable[[AlgorithmSeq], None] = lambda P: None,
 ) -> MemberSurvey:
-    """Count the members, drop repeated keys, verify and emit the rest.
+    """Count the members, drop repeated stage stacks, verify and emit the rest.
 
     ``verify`` is None, "fast" (the structural check) or "oracle" (that check,
     then the computed matrix against the transform, entrywise).  Without
@@ -169,11 +169,11 @@ def census(
     reference = hadamard(n) if verify == "oracle" else None
     raw = 0
     verified = 0
-    seen: set[str] = set()
+    seen: set[bytes] = set()
     for P in members:
         raw += 1
         if dedupe:
-            k = P.key()
+            k = P.stack.tobytes()
             if k in seen:
                 continue
             seen.add(k)

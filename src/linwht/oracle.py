@@ -7,25 +7,26 @@ in split order, row j holding natural row C j (C the bit rotation), so
 each gather table is the index table of an n x n map, and one
 ``perm_indices`` call builds them all.  The trailing axes of the data
 are flattened into columns, and all stages run on one column panel of
-about ``_PANEL_BYTES`` before the next panel starts, so a panel's
-stages stay in the L2 cache however large the whole matrix is.
+about ``_PANEL_BYTES`` before the next, so a panel's stages stay in the
+L2 cache; contiguous ranges of panels run on one thread per usable CPU.
 
 ``transform`` runs an algorithm on any array of 2^n rows, in its dtype.
-``evaluate`` runs it on the identity and so materialises the full
-2^n x 2^n signed integer matrix; no matrix-matrix products and no
-floating point are involved.  The identity itself is never formed:
-each panel of it is written into the panel's staging buffer, zeros and
-then its ones, before the stages run.  A butterfly at most doubles the
-largest magnitude in a column, so no entry of an evaluation exceeds
-2^n, and the stages of an identity run in the smallest signed integer
-type that holds 2^n (int16 up to n = 14, the default size guard); the
-result is cast into int32 by the final row scatter.  ``hadamard``
-builds the transform itself, whose entry (i, j) is (-1)^popcount(i & j),
-by Sylvester doubling in place in its int32 result.
+``evaluate`` materialises the full 2^n x 2^n signed integer matrix E,
+with no matrix products and no floating point, by running the transposed
+program (P_n^-1, ..., P_0^-1) on the identity: a column panel of E^T is
+a row block of E, and the gather maps are P's own stages.  The identity
+is never formed: each panel of it is staged, zeros and then its ones, in
+the output rows it becomes.  A butterfly at most doubles the largest
+magnitude in a column, so no entry exceeds 2^n, and the stages run in
+the smallest signed integer type that holds 2^n (int16 up to n = 14, the
+default size guard).  ``hadamard`` builds the transform itself, whose
+entry (i, j) is (-1)^popcount(i & j), by Sylvester doubling in place.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ __all__ = [
     "dependency_sets",
 ]
 
-# Working data of one column panel; a panel's gather buffer and stage
-# output together take twice this, which fits a 1-2 MiB L2 cache.
+# Working data of one column panel; a thread's gather and stage buffers
+# together take twice this, which fits a 1-2 MiB L2 cache.
 _PANEL_BYTES = 512 * 1024
 
 
@@ -97,59 +98,85 @@ def _working_dtype(n: int) -> np.dtype:
 def _run(P: AlgorithmSeq, first: int, x: np.ndarray | None, final_perm: bool) -> np.ndarray:
     """Stages n..first of P, then P_0 if ``final_perm``, on the rows of x.
 
-    ``x=None`` stands for the 2^n x 2^n identity: each panel of it is
-    written into the staging buffer, the stages run in
-    ``_working_dtype(n)`` and the result is int32.
-
     Between stages the rows are held in split order: the sum of pair j
     at row j and the difference at row 2^(n-1) + j, so that both halves
     of a butterfly are contiguous; row j holds natural row C j, C =
     ``rotation_matrix(n)``.  Each table is the index table of an n x n
-    map: stage k gathers through C^-1 P_k^-1 C (P_n^-1 C from natural
-    order), and the last scatter sends row j to P_0 C j.
+    map.  On data x, stage k gathers through C^-1 P_k^-1 C (P_n^-1 C from
+    natural order) and the last scatter sends row j to P_0 C j.
+    ``x=None`` stands for the identity: the result E is int32, and the
+    program of E^T, (P_n^-1, ..., P_first^-1, A^-1) with A = P_0 if
+    ``final_perm`` else I, gathers through A C, then C^-1 P_j C for j =
+    first..n-1, and a take through C^-1 P_n places each column panel,
+    copied transposed into its row block of E, where it was staged.
     """
     n = P.n
     size = 1 << n
     half = size >> 1
-    rot = [1 << (n - 2 - r) for r in range(n - 1)] + [1 << (n - 1)]  # rows of C
-    stages, maps = P.stack.tolist(), []
-    for k in range(n, first - 1, -1):
-        m = _solve([(w << n) | c for w, c in zip(stages[k], rot)], n)  # P_k^-1 C
-        maps.append(m if k == n else m[-1:] + m[:-1])  # C^-1 moves the rows down
-    final = stages[0] if final_perm else [1 << (n - 1 - r) for r in range(n)]
-    if maps:  # Q C turns each row word of Q right
-        final = [(w >> 1) | ((w & 1) << (n - 1)) for w in final]
-    *tables, dest = perm_indices(maps + [final], n)
-
+    stages = P.stack.tolist()
+    ident = [1 << (n - 1 - r) for r in range(n)]
+    turn = lambda q: [(w >> 1) | ((w & 1) << (n - 1)) for w in q]  # q C turns each row word right
+    down = lambda q: q[-1:] + q[:-1]  # C^-1 q moves the rows down
+    a = stages[0] if final_perm else ident
     if x is None:
-        dtype = _working_dtype(n)
-        ncols = size
+        maps = [turn(a)] + [down(turn(q)) for q in stages[first:n]] if first <= n else []
+        last = down(stages[n]) if maps else ident
+        dtype, ncols = _working_dtype(n), size
         out = np.empty((size, size), dtype=np.int32)
     else:
+        maps = [_solve([(w << n) | c for w, c in zip(q, turn(ident))], n) for q in stages[n : first - 1 : -1]]
+        maps = maps[:1] + [down(m) for m in maps[1:]]  # P_n^-1 C, then C^-1 P_k^-1 C
+        last = turn(a) if maps else a
         cols = x.reshape(size, x.size // size)
-        dtype = cols.dtype
-        ncols = cols.shape[1]
+        dtype, ncols = cols.dtype, cols.shape[1]
         out = np.empty_like(cols)
+    *tables, last = perm_indices(maps + [last], n)
     width = max(1, min(ncols, _PANEL_BYTES // (size * dtype.itemsize)))
-    gathered = np.empty(size * width, dtype=dtype)
-    staged = np.empty(size * width, dtype=dtype)
-    for c0 in range(0, ncols, width):
-        w = min(width, ncols - c0)
-        g = gathered[: size * w].reshape(size, w)
-        s = staged[: size * w].reshape(size, w)
-        if x is None:
-            s.fill(0)
-            staged[c0 * w : (c0 + w) * w : w + 1] = 1  # s[c0 + j, j] for j < w
-            m = s
-        else:
-            m = cols[:, c0 : c0 + w]
-        for table in tables:
-            # indices are in range; "clip" lets take write straight into g
-            np.take(m, table, axis=0, out=g, mode="clip")
-            np.add(g[:half], g[half:], out=s[:half])
-            np.subtract(g[:half], g[half:], out=s[half:])
-            m = s
-        out[dest, c0 : c0 + w] = m
+    # an identity panel is held as tiles of 16 columns, (w/16, 2^n, 16), which transpose fastest
+    tile = min(width, 16) if x is None else width
+    # rows of E go out from g's tiles by halves, quarters...: none overlays a tile still unread
+    groups = [width // tile - (width // tile >> i) for i in range((width // tile).bit_length())] + [width // tile]
+    errors = []
+
+    def panels(part: range) -> None:
+        try:
+            # an int16 identity panel runs in the int32 rows it becomes, which hold two panels
+            own = None if x is None and dtype.itemsize == 2 else np.empty(2 * size * width, dtype=dtype)
+            for c0 in part:
+                w = min(width, ncols - c0)
+                both = out[c0 : c0 + w].view(dtype).reshape(-1) if own is None else own
+                s, g = both[: 2 * size * w].reshape(2, -1, size, min(tile, w))
+                m = s if x is None else cols[None, :, c0 : c0 + w]
+                if x is None:
+                    s.fill(0)  # the ones s[b, c0 + b tile + j, j] lie on row b of this (w / tile)-row view
+                    both[c0 * tile :][: w * (size + tile)].reshape(w // tile, -1)[:, : tile * tile : tile + 1] = 1
+                for table in tables:
+                    # indices are in range; "clip" lets take write straight into g
+                    m.take(table, 1, g, "clip")
+                    np.add(g[:, :half], g[:, half:], out=s[:, :half])
+                    np.subtract(g[:, :half], g[:, half:], out=s[:, half:])
+                    m = s
+                if x is None:
+                    m.take(last, 1, g, "clip")
+                    for b, e in zip(groups, groups[1:]):
+                        out[c0 + b * tile : c0 + e * tile].reshape(-1, tile, size)[...] = g[b:e].transpose(0, 2, 1)
+                else:
+                    out[last, c0 : c0 + w] = m[0]
+        except BaseException as exc:  # raised again in the caller once every thread is done
+            errors.append(exc)
+
+    starts = range(0, ncols, width)
+    # the CPUs this process may run on, or all of them where the OS has no affinity call
+    workers = min(len(getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count() or 1))(0)), len(starts))
+    ranges = [starts[len(starts) * i // workers : len(starts) * (i + 1) // workers] for i in range(workers)]
+    threads = [threading.Thread(target=panels, args=(r,)) for r in ranges[1:]]
+    for t in threads:
+        t.start()
+    panels(ranges[0])
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[0]
     return out if x is None else out.reshape(x.shape)
 
 
@@ -159,7 +186,7 @@ def transform(P: AlgorithmSeq, x) -> np.ndarray:
     Equals ``evaluate(P)`` times x, computed in ``x.dtype`` without
     forming the matrix; integer dtypes wrap on overflow.  Besides the
     output it holds n+1 index tables of 2^n entries and two panel
-    buffers, so only the shape is checked, not the size guard.
+    buffers per thread, so only the shape is checked, not the size guard.
     """
     x = np.asarray(x)
     size = 1 << P.n

@@ -11,6 +11,7 @@ import functools
 import itertools
 import operator
 import random
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -287,3 +288,17 @@ def reshape_fwht(x: np.ndarray) -> np.ndarray:
 def border_all_ones(P: AlgorithmSeq) -> bool:
     w = evaluate(P)
     return bool((w[0] == 1).all() and (w[:, 0] == 1).all())
+
+
+class SubtractFailsInWorkers:
+    """Stands in for numpy in ``linwht.oracle``: ``subtract``, which only
+    the butterflies call, raises MemoryError on any thread but the main one."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def subtract(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("Unable to allocate in a worker thread")
+        return np.subtract(*args, **kwargs)

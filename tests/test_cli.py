@@ -12,7 +12,7 @@ from linwht import count_algorithms, count_algorithms_simplified, count_bit_inde
 from linwht.cli import main
 from linwht.textio import format_sequence, parse_document, parse_factors, parse_sequence
 
-from helpers import FIXTURES, N2_ROWS, naive_corner_witness, random_sequence
+from helpers import FIXTURES, N2_ROWS, SubtractFailsInWorkers, naive_corner_witness, random_sequence
 
 
 def run_cli(capsys, *argv):
@@ -158,6 +158,19 @@ def test_check_out_of_memory_names_the_file(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "check", "--oracle", path)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+
+
+def test_check_out_of_memory_on_a_panel_thread(capsys, monkeypatch, tmp_path):
+    """A MemoryError raised on one of the oracle's panel threads exits 2
+    with one line naming the file, like one raised in the caller."""
+    monkeypatch.setattr("linwht.oracle.os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("linwht.oracle.np", SubtractFailsInWorkers())
+    path = tmp_path / "pease10.alg"
+    path.write_text(format_sequence(pease(10)) + "\n")
+    code, out, err = run_cli(capsys, "check", "--oracle", str(path))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+    assert "worker thread" in err
 
 
 def test_count_output(capsys):
@@ -399,16 +412,21 @@ def test_bench_small(capsys):
 def test_bench_construction_lines(capsys):
     """After the check and oracle lines, one line per size with the min of
     --repeat runs of sample_member, build, factorize, format_document and
-    parse_document."""
+    parse_document; then one line per dense size n=10..12 with the min of
+    --repeat runs of evaluate."""
     code, out, _ = run_cli(capsys, "bench", "--sizes", "3,64", "--repeat", "2")
     assert code == 0
     lines = out.splitlines()
-    assert len(lines) == 5
-    for line, n in zip(lines[3:], (3, 64)):
+    assert len(lines) == 8
+    for line, n in zip(lines[3:5], (3, 64)):
         m = re.fullmatch(rf"n={n} sample_ms=([0-9.]+) build_ms=([0-9.]+) factorize_ms=([0-9.]+)"
                          r" format_ms=([0-9.]+) parse_ms=([0-9.]+)", line)
         assert m, line
         assert all(float(v) > 0 for v in m.groups())
+    for line, n in zip(lines[5:], (10, 11, 12)):
+        m = re.fullmatch(rf"n={n} evaluate_ms=([0-9.]+)", line)
+        assert m, line
+        assert float(m.group(1)) > 0
 
 
 def test_usage_errors(capsys):

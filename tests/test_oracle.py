@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,7 @@ from linwht import (
     sample_member,
     transform,
 )
+from linwht import oracle
 from linwht.gf2 import parity, rotation_matrix
 from linwht.groups import random_invertible
 from linwht.oracle import (
@@ -31,6 +34,7 @@ from linwht.oracle import (
 
 from helpers import (
     WHT3,
+    SubtractFailsInWorkers,
     forced_singular_sequence,
     kron_hadamard,
     naive_evaluate,
@@ -355,6 +359,26 @@ def test_evaluate_never_forms_the_identity():
     assert peak <= w.nbytes + 2 * 2**20
 
 
+def _use_cpus(monkeypatch, count: int) -> None:
+    """Make ``oracle`` see ``count`` usable CPUs, whatever the host has."""
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_evaluate_holds_no_panel_buffer_per_thread(monkeypatch):
+    """Each int16 identity panel runs inside the output rows it becomes,
+    and its rows are written back a few tiles at a time, so four threads
+    together hold less than one 512 KiB panel beside the result."""
+    _use_cpus(monkeypatch, 4)
+    P = pease(10)
+    tracemalloc.start()
+    try:
+        w = evaluate(P)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= w.nbytes + _PANEL_BYTES
+
+
 def test_transform_holds_n_plus_2_tables():
     """Beside its output and two panel buffers, ``transform`` holds the
     n+1 tables of one ``perm_indices`` call and less than one more."""
@@ -370,3 +394,105 @@ def test_transform_holds_n_plus_2_tables():
     finally:
         tracemalloc.stop()
     assert peak <= y.nbytes + 2 * size * width * 8 + (n + 2) * size * 8
+
+
+def _scatter_reference(P: AlgorithmSeq, k: int, final_perm: bool) -> np.ndarray:
+    """The int64 forward program with its final row scatter, run on the
+    identity 512 columns at a time."""
+    size = 1 << P.n
+    return np.hstack([
+        _run(P, k, np.eye(size, min(size, 512), -c0, dtype=np.int64), final_perm)
+        for c0 in range(0, size, 512)
+    ])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_row_blocks_match_references_on_any_thread_count(n, monkeypatch):
+    """``evaluate`` and ``evaluate_partial`` run the transposed program in
+    row blocks of E.  With 1, 2 and 3 usable CPUs (uneven panel ranges
+    on 3 from n=10 on) they equal the naive product up to n=6, and the
+    int64 scatter path of data x above it."""
+    P = _sequence("random", n, 0)
+    ks = sorted({1, 2, n, n + 1})
+    _use_cpus(monkeypatch, 1)
+    if n <= 6:
+        want = {0: naive_evaluate(P)} | {k: naive_evaluate(P, k, final_perm=False) for k in ks}
+    else:
+        want = {0: _scatter_reference(P, 1, True)} | {k: _scatter_reference(P, k, False) for k in ks}
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        for k, w in want.items():
+            got = evaluate(P) if k == 0 else evaluate_partial(P, k)
+            assert got.dtype == np.int32 and got.flags.c_contiguous
+            assert (got == w).all(), (cpus, k)
+
+
+@pytest.mark.parametrize(
+    "dtype,panel_bytes",
+    [(np.int32, _PANEL_BYTES), (np.int32, 16 * 1024), (np.int16, 16 * 1024)],
+    ids=["int32", "int32-one-tile", "int16-one-tile"],
+)
+def test_row_blocks_in_other_panel_shapes(dtype, panel_bytes, monkeypatch):
+    """Stages in int32, as above n=14, leave no room for a second buffer
+    in the output rows, so each thread holds two of its own; panels of
+    one tile write their rows over the tile they read.  Both are forced
+    here at n=10, on 1 and 3 threads."""
+    P = _sequence("random", 10, 2)
+    _use_cpus(monkeypatch, 1)
+    want = _scatter_reference(P, 1, True)
+    monkeypatch.setattr(oracle, "_working_dtype", lambda n: np.dtype(dtype))
+    monkeypatch.setattr(oracle, "_PANEL_BYTES", panel_bytes)
+    for cpus in (1, 3):
+        _use_cpus(monkeypatch, cpus)
+        assert (evaluate(P) == want).all(), cpus
+
+
+def test_transform_bits_do_not_depend_on_thread_count(monkeypatch):
+    """A float64 transform of many columns, split into panel ranges of
+    unequal length, gives the same bits on 1, 2 and 3 threads."""
+    n = 10
+    P = _sequence("random", n, 1)
+    width = _PANEL_BYTES // ((1 << n) * 8)
+    x = np.random.default_rng(9).standard_normal((1 << n, 5 * width + 3))
+    results = []
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        results.append(transform(P, x))
+    assert all(r.tobytes() == results[0].tobytes() for r in results[1:])
+    assert np.allclose(results[0], naive_transform(P, x))
+
+
+def test_concurrent_callers_get_their_own_matrices(monkeypatch):
+    """Two Python threads evaluating different sequences at once, each on
+    three panel threads (more than a 2-CPU host has cores) and with a
+    short switch interval, get their own results."""
+    seqs = [_sequence("random", 11, seed) for seed in range(2)]
+    _use_cpus(monkeypatch, 1)
+    want = [evaluate(P) for P in seqs]
+    _use_cpus(monkeypatch, 3)
+    got: dict[int, list[bool]] = {0: [], 1: []}
+
+    def call(i):
+        for _ in range(3):
+            got[i].append(bool((evaluate(seqs[i]) == want[i]).all()))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in callers)
+    assert got == {0: [True] * 3, 1: [True] * 3}
+
+
+def test_worker_error_raises_in_the_caller(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(oracle, "np", SubtractFailsInWorkers())
+    with pytest.raises(MemoryError, match="in a worker thread"):
+        evaluate(pease(10))
+    assert (evaluate(pease(9)) == hadamard(9)).all()  # one panel: no worker thread
