@@ -23,13 +23,14 @@ from .gf2 import BitMatrix, DimensionError, SingularError, _eliminate, _to_bits,
 __all__ = ["AlgorithmSeq", "reversed_inverted"]
 
 
-def _check(mats: Sequence[BitMatrix], n: int, what: str, start: int = 0) -> np.ndarray:
-    """``_proved`` on the row words of ``mats`` once every one is n x n (n <= 64);
-    ``what.format(start + i)`` names matrix i in the error."""
+def _check(mats: Sequence[BitMatrix], n: int, what: str, start: int = 0, rank: bool = True) -> np.ndarray:
+    """The row words of ``mats``, (len(mats), n) uint64, once every one is n x n (n <= 64), then
+    ``_proved`` if ``rank``; ``what.format(start + i)`` names matrix i in the error."""
     for i, m in enumerate(mats):
         if m.rows != n or m.cols != n:
             raise DimensionError(f"{what.format(start + i)} is {m.rows}x{m.cols}, expected {n}x{n}")
-    return _proved(np.array([m.words for m in mats], np.uint64), what, start)
+    words = np.array([m.words for m in mats], np.uint64)
+    return _proved(words, what, start) if rank else words
 
 
 def _proved(words: np.ndarray, what: str, start: int = 0) -> np.ndarray:

@@ -10,12 +10,15 @@ matrix diag(Q_i, 1)):
 C only permutes rows: C * D is D with its rows moved up one place,
 cyclically, so P_i, i > 0, is the quotient of C * D_{i+1} by D_i and P_0
 one product; ``build``, and the enumerations for all members that share
-a B, form every quotient in one stack elimination and every P_0 in one
-bit-stack product.  ``factorize`` inverts the construction; B comes back
-as the spreading matrix X of the sequence, and since
-P_{0:i} = B * C^i * D_{i+1},
+a B, form every quotient in one stack elimination (the Gauss-Jordan loop)
+and every P_0 in one bit-stack product.  ``factorize`` inverts the
+construction; B comes back as the spreading matrix X of the sequence, and
+since P_{0:i} = B * C^i * D_{i+1},
 
     D_{i+1} = C^{-i} * X^{-1} * P_{0:i}.
+
+A ``FactorTuple`` holds the row words that ``factorize`` packs, ``build``
+reads and ``parse_factors`` decodes, checked on the rank-only loop.
 
 The map is injective, so member counts equal parameter counts:
 |GL_n| * |GL_{n-1}|^n.
@@ -32,7 +35,7 @@ import numpy as np
 
 from .algorithm import AlgorithmSeq, _check, _sequence, _trusted
 from .config import BIT_INDEX_ENUM_MAX, MEMBER_ENUM_MAX, N_MAX
-from .gf2 import BitMatrix, DimensionError, _eliminate, _mul_bits, _to_bits, _words
+from .gf2 import BitMatrix, DimensionError, SingularError, _eliminate, _mul_bits, _to_bits, _words
 from .groups import _random_invertibles, enumerate_gl, enumerate_perm, random_invertible
 from .membership import NotMemberError, _structure, check_membership
 from .oracle import evaluate, hadamard
@@ -49,39 +52,84 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class FactorTuple:
-    """B plus the n inner matrices; the free coordinates of a member."""
+    """B plus the n inner matrices; the free coordinates of a member, held as read-only uint64
+    row words: B's in ``b_words``, (n,), and the Q_i's in ``q_words``, (n, n-1).  The
+    constructor checks ``BitMatrix`` values; ``b``, ``qs`` and ``n`` make theirs on demand."""
 
-    b: BitMatrix
-    qs: tuple[BitMatrix, ...]
+    b_words: np.ndarray
+    q_words: np.ndarray
 
-    def __post_init__(self):
-        n = self.b.rows
+    def __init__(self, b: BitMatrix, qs: Iterable[BitMatrix]):
+        self.__post_init__(b, tuple(qs))
+
+    def __post_init__(self, b: BitMatrix, qs: tuple[BitMatrix, ...]):
+        n = b.rows
         # the size bound comes first, as the rank check's stack elimination needs n <= 64
         if not 1 <= n <= N_MAX:
             raise DimensionError(f"B is {n}x{n}, expected n x n with 1 <= n <= {N_MAX}")
-        _check((self.b,), n, "B")
-        if len(self.qs) != n:
-            raise DimensionError(f"need exactly {n} inner matrices, got {len(self.qs)}")
-        _check(self.qs, n - 1, "inner matrix {}", start=1)
+        # B's rank is checked alone only when a later shape is wrong, to come before that error
+        bad = len(qs) != n or any(q.rows != n - 1 or q.cols != n - 1 for q in qs)
+        bw = _check((b,), n, "B", rank=bad)
+        if len(qs) != n:
+            raise DimensionError(f"need exactly {n} inner matrices, got {len(qs)}")
+        qw = _check(qs, n - 1, "inner matrix {}", start=1, rank=False)
+        self.__dict__.update(vars(_factors(bw[0], qw, check=True)))
 
     @property
     def n(self) -> int:
-        return self.b.rows
+        return len(self.b_words)
+
+    @property
+    def b(self) -> BitMatrix:
+        return BitMatrix(self.n, self.n, tuple(self.b_words.tolist()))
+
+    @property
+    def qs(self) -> tuple[BitMatrix, ...]:
+        return tuple(BitMatrix(self.n - 1, self.n - 1, tuple(q)) for q in self.q_words.tolist())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FactorTuple) and self._bytes() == other._bytes()
+
+    def __hash__(self) -> int:
+        return hash(self._bytes())
+
+    def _bytes(self) -> bytes:  # 8n^2 bytes, so they fix n
+        return self.b_words.tobytes() + self.q_words.tobytes()
+
+    def __reduce__(self):  # copied or unpickled words are made read-only again
+        return _factors, (self.b_words, self.q_words)
 
 
-def _built(b: BitMatrix, qs) -> list[AlgorithmSeq]:
-    """The members (B, Q_1..Q_n), Q_i row words in ``qs``: every P_0 in one bit-stack product and
-    all divisions in one stack elimination, into one array whose (n+1, n) slices are their stacks."""
-    n, count = b.rows, len(qs)
+def _factors(b, q, check: bool = False) -> FactorTuple:
+    """The ``FactorTuple`` of row words b, (n,), and q, (n, n-1), made read-only; with ``check``,
+    once B and every D_i = diag(Q_i, 1), of rank rank(Q_i) + 1, are ranked in one stack
+    elimination, else an error for the first singular one, B before the Q_i."""
+    b, q = np.asarray(b, np.uint64), np.asarray(q, np.uint64)
+    if check:
+        n = len(b)
+        d = np.empty((n + 1, n), np.uint64)
+        d[0], d[1:, :-1], d[1:, -1] = b, q << np.uint64(1), 1
+        for i, rank in enumerate(_eliminate(d)[0].tolist()):
+            if rank != n:
+                raise SingularError(f"inner matrix {i} is singular" if i else "B is singular", rank - (i > 0))
+    b.flags.writeable = q.flags.writeable = False
+    return _trusted(FactorTuple, b_words=b, q_words=q)
+
+
+def _built(b, qs) -> list[AlgorithmSeq]:
+    """The members (B, Q_1..Q_n), row words in ``b`` and ``qs``: every P_0 in one bit-stack product
+    and all divisions in one stack elimination, into one array whose (n+1, n) slices are their stacks."""
+    n, count = len(b), len(qs)
+    bits = _to_bits(b, n)
     # D_i = diag(Q_i, 1): each row of Q_i with a 0 appended, then e_n; D_{n+1} = B^T
     d = np.empty((count, n + 1, n), np.uint64)
     d[:, :n, :-1] = np.array(qs, np.uint64).reshape(count, n, n - 1) << np.uint64(1)
     d[:, :n, -1] = 1
-    d[:, n] = b.transpose().words
+    d[:, n] = _words(bits.T)
     stages = np.empty((count, n + 1, n), np.uint64)
-    stages[:, 0] = _words(_mul_bits(_to_bits(b.words, n), _to_bits(d[:, 0], n)))
+    stages[:, 0] = _words(_mul_bits(bits, _to_bits(d[:, 0], n)))
     # P_i = D_i^{-1} * (C * D_{i+1}); C * D moves the rows of D up one place
     x = _eliminate(d[:, :-1].reshape(-1, n), np.roll(d[:, 1:], -1, axis=2).reshape(-1, n))[1]
     stages[:, 1:] = x.reshape(count, n, n)
@@ -89,7 +137,7 @@ def _built(b: BitMatrix, qs) -> list[AlgorithmSeq]:
 
 
 def build(f: FactorTuple) -> AlgorithmSeq:
-    return _built(f.b, [[q.words for q in f.qs]])[0]
+    return _built(f.b_words, f.q_words[None])[0]
 
 
 def factorize(P: AlgorithmSeq) -> FactorTuple:
@@ -111,8 +159,7 @@ def factorize(P: AlgorithmSeq) -> FactorTuple:
     e = at == n - 1
     if (d[:, -1] != e).any() or (d[:, :, -1] != e).any():
         raise RuntimeError("internal error: factor matrix is not bordered")
-    qs = tuple(BitMatrix(n - 1, n - 1, tuple(q)) for q in _words(d[:, :-1, :-1]).tolist())
-    return _trusted(FactorTuple, b=b, qs=qs)
+    return _factors(b.words, _words(d[:, :-1, :-1]))
 
 
 def sample_member(n: int, seed: Optional[int] = None) -> AlgorithmSeq:
@@ -120,7 +167,7 @@ def sample_member(n: int, seed: Optional[int] = None) -> AlgorithmSeq:
     if not 1 <= n <= N_MAX:
         raise DimensionError(f"n must be in 1..{N_MAX}, got {n}")
     rng = random.Random(seed)
-    b = random_invertible(n, rng)
+    b = random_invertible(n, rng).words
     return _built(b, _random_invertibles(n - 1, n, rng)[None])[0]
 
 
@@ -131,7 +178,7 @@ def _members(
         raise ValueError(f"{what} supported for 1 <= n <= {bound}")
     inner = [q.words for q in outer(n - 1)]
     for b in outer(n):
-        yield from _built(b, list(itertools.product(inner, repeat=n)))
+        yield from _built(b.words, list(itertools.product(inner, repeat=n)))
 
 
 def enumerate_members(n: int) -> Iterator[AlgorithmSeq]:

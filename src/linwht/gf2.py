@@ -15,12 +15,15 @@ column from every other row; ``_solve`` does so on the rows of [a | b],
 leaving a^-1 * b (``inverse``, the oracle's n divisions); ``rank`` keeps
 its own loop, faster as it stops once every row is a pivot.  A stack of N
 systems of one size, as uint64 row words, runs one numpy loop over the n
-pivot columns (``_eliminate``): without b, the rank loop, for the checks
-of given or parsed stages and of factors, and ``sample_member``'s
-candidates; with b, the Gauss-Jordan loop, for ``build``'s divisions and
-``reversed_inverted``.  ``@`` is an int loop, ``_mul_bits`` one BLAS
-product over a 0/1 stack (the prefix chain, every P_0 of ``build``,
-``factorize``'s n products, kept as n calls: one GEMM measured slower).
+pivot columns (``_eliminate``).  Without b it is the rank loop (the checks
+of given or parsed stages and of factors, ``sample_member``'s candidates):
+with columns < c cleared, a matrix's largest row has column c iff any row
+has, so on the stack transposed a column is a max, then a XOR and a minimum
+that set each row to min(row, row ^ pivot).  With b it is the Gauss-Jordan
+loop (``build``'s divisions, ``reversed_inverted``).  ``@`` is an int loop,
+``_mul_bits`` one BLAS product over a 0/1 stack (the prefix chain, every
+P_0 of ``build``, ``factorize``'s n products, kept as n calls: one GEMM
+measured slower).
 
 Everything here is immutable and every operation returns a new value,
 so instances can be shared freely across threads.
@@ -104,17 +107,15 @@ def _eliminate(a, b=None):
     """Ranks of the N n x n matrices (n <= 64) in row words a, (N, n), and a_i^-1 * b_i if full."""
     a = np.asarray(a, np.uint64)
     N, n = a.shape
+    if b is None:  # row r of every matrix in one run; once columns < c are cleared, rows are < 2^(n-c)
+        rows, tmp, pivots = a.T.copy(), np.empty((n, N), np.uint64), np.empty((n, N), np.uint64)
+        for c in range(n):
+            piv = rows.max(axis=0, out=pivots[c])  # holds column c iff any row does ...
+            piv *= piv >> np.uint64(n - 1 - c)  # ... else 0
+            np.minimum(rows, np.bitwise_xor(rows, piv, out=tmp), out=rows)  # clears c; the pivot drops to 0
+        return np.count_nonzero(pivots, axis=0), None
     a = (a << np.uint64(64 - n)).view(np.int64)  # each step shifts the next column into the sign bit
     at = np.arange(N) * n
-    if b is None:  # the pivot row clears its bit everywhere, itself included, and drops out
-        ranks = np.zeros(N, np.int64)
-        for _ in range(n):
-            flat = a.reshape(-1) >> 63  # -1 on every row with the bit, else 0
-            p = flat.reshape(N, n).argmin(axis=1) + at  # first row with the bit, if any
-            a ^= flat.reshape(N, n) & a.reshape(-1)[p][:, None]
-            ranks -= flat[p]
-            a <<= 1
-        return ranks, None
     parts = [a, np.array(b, np.uint64).view(np.int64)]
     live, pivots = np.full(N * n, -1, np.int64), np.empty((N, n), np.intp)
     for c in range(n):

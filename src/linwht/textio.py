@@ -36,8 +36,8 @@ import numpy as np
 
 from .algorithm import AlgorithmSeq, _proved, _sequence
 from .config import N_MAX
-from .factory import FactorTuple
-from .gf2 import BitMatrix, _words
+from .factory import FactorTuple, _factors
+from .gf2 import _words
 
 __all__ = [
     "ParseError",
@@ -211,8 +211,7 @@ def parse_factors(text: str) -> FactorTuple:
             sc.expect(";")
         qs.append(sc.matrix(n - 1, n - 1, f"inner matrix {k}"))
     sc.finish("the factor matrices")
-    inner = (BitMatrix(n - 1, n - 1, tuple(w)) for w in _decode(qs, n - 1).tolist())
-    return FactorTuple(BitMatrix(n, n, tuple(_decode([b], n)[0].tolist())), tuple(inner))
+    return _factors(_decode([b], n)[0], _decode(qs, n - 1), check=True)
 
 
 def format_factors(f: FactorTuple) -> str:

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import pickle
 import random
 
 import numpy as np
@@ -32,25 +33,31 @@ from linwht.factory import census, survey_members
 from linwht.gf2 import BitMatrix, DimensionError, SingularError, rotation_matrix
 from linwht.groups import count_bit_index_algorithms, random_invertible
 from linwht.membership import spreading_matrix
-from linwht.textio import AlgorithmDocument, format_document, format_sequence, parse_document, parse_factors
+from linwht.textio import (
+    AlgorithmDocument, format_document, format_factors, format_sequence, parse_document, parse_factors,
+)
 
 from helpers import N2_ROWS, naive_is_permutation, read_fixture
 
 
-def random_factors(n: int, seed: int) -> FactorTuple:
+def random_coordinates(n: int, seed: int) -> tuple[BitMatrix, tuple[BitMatrix, ...]]:
     rng = random.Random(seed)
-    return FactorTuple(
-        random_invertible(n, rng),
-        tuple(random_invertible(n - 1, rng) for _ in range(n)),
-    )
+    return random_invertible(n, rng), tuple(random_invertible(n - 1, rng) for _ in range(n))
+
+
+def random_factors(n: int, seed: int) -> FactorTuple:
+    return FactorTuple(*random_coordinates(n, seed))
 
 
 def assert_trusted_values_pass_checks(n: int, seed: int) -> None:
     """What build, reversed_inverted, to_sequency, the parser, enumerate_members(2),
     factorize and sample_member make without the constructor check holds its stages
     as one read-only (n+1, n) uint64 array, and equals, and hashes like, the same
-    value checked."""
-    f = random_factors(n, seed)
+    value checked.  Factor tuples, checked, from ``factorize`` or from the parser,
+    hold B and the Q_i as read-only (n,) and (n, n-1) uint64 words, copies and
+    unpickled values too, and give back the matrices they were made from."""
+    b, qs = random_coordinates(n, seed)
+    f = FactorTuple(b, qs)
     P = build(f)
     parsed = parse_document(format_document(AlgorithmDocument(P, {"seed": str(seed)}))).seq
     for Q in (P, reversed_inverted(P), to_sequency(P), parsed, *enumerate_members(2)):
@@ -61,6 +68,12 @@ def assert_trusted_values_pass_checks(n: int, seed: int) -> None:
         checked = AlgorithmSeq(Q.matrices)
         assert checked == Q and hash(checked) == hash(Q)
     g = factorize(P)
+    for h in (f, g, parse_factors(format_factors(f)), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert h.b_words.dtype == h.q_words.dtype == np.uint64
+        assert h.b_words.shape == (n,) and h.q_words.shape == (n, n - 1)
+        assert not h.b_words.flags.writeable and not h.q_words.flags.writeable
+        assert h.n == n and h.b == b and h.qs == qs
+        assert h == f and hash(h) == hash(f)
     checked = FactorTuple(g.b, g.qs)
     assert checked == g and hash(checked) == hash(g)
     # sample_member draws the tuple that random_factors draws from the same seed
@@ -151,6 +164,11 @@ def test_round_trips_across_vector_product_threshold(n):
     f = random_factors(n, n)
     assert factorize(build(f)) == f
     assert_trusted_values_pass_checks(n, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 64])
+def test_factor_tuple_words_round_trip(n):
+    assert_trusted_values_pass_checks(n, 100 + n)
 
 
 def test_factorize_rejects_non_members():

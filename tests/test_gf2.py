@@ -344,14 +344,20 @@ def _singular_stack(n):
 @example(_singular_stack(63))
 @example(_singular_stack(64))
 @example((64, 5, [list(random_invertible(64, random.Random(5)).words)], [_seeded(64, 5, 6).words]))
+@example((5, 3, [], []))  # an empty stack
+@example((0, 4, [[], []], [[], []]))  # 0 x 0 matrices
+@example((64, 64, [[(1 << 63) | 0x2545F4914F6CDD1D] * 64], [_seeded(64, 64, 13).words]))  # rank 1, bit 63 set
+@example((8, 8, [[0] * 8, [0x80] + [0] * 7, [0xFF] * 8, list(random_invertible(8, random.Random(8)).words)],
+          [_seeded(8, 8, s).words for s in range(4)]))  # ranks 0, 1, 1 and 8 in one stack
 def test_stack_elimination_against_naive(case):
     """Each rank equals the textbook rank, with and without right parts (the rank-only
     loop), and each full-rank quotient equals ``_solve`` on the same rows and the
     textbook a^-1 times b."""
     n, width, a, b = case
     naive = [naive_rank(lists(BitMatrix(n, n, tuple(w)))) for w in a]
-    assert _eliminate(np.array(a, np.uint64))[0].tolist() == naive
-    ranks, x = _eliminate(np.array(a, np.uint64), np.array(b, np.uint64))
+    stack, right_parts = (np.array(w, np.uint64).reshape(len(w), n) for w in (a, b))  # (N, n) at N = 0 too
+    assert _eliminate(stack)[0].tolist() == naive
+    ranks, x = _eliminate(stack, right_parts)
     assert ranks.tolist() == naive
     for words, right, rank, got in zip(a, b, ranks.tolist(), x.tolist()):
         if rank < n:
