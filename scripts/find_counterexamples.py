@@ -9,6 +9,7 @@ Usage: python scripts/find_counterexamples.py [--n 2 3] [--seed 0] [--budget 100
 
 import argparse
 
+from linwht.config import N_MAX
 from linwht.membership import check_membership, find_counterexample
 from linwht.textio import AlgorithmDocument, format_document
 
@@ -19,6 +20,9 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--budget", type=int, default=100_000)
     args = ap.parse_args()
+    for n in args.n:
+        if not 2 <= n <= N_MAX:
+            ap.error(f"--n must be in 2..{N_MAX}, got {n}")
 
     for n in args.n:
         for which in ("product", "inverse"):

@@ -9,6 +9,7 @@ verification, and the closed-form prediction for comparison.
 import argparse
 import time
 
+from linwht.config import MEMBER_ENUM_MAX
 from linwht.factory import survey_members
 from linwht.groups import count_algorithms, count_algorithms_simplified
 
@@ -18,6 +19,8 @@ def main():
     ap.add_argument("n", type=int, nargs="?", default=3)
     ap.add_argument("--oracle", action="store_true", help="also compare each against the dense transform")
     args = ap.parse_args()
+    if not 1 <= args.n <= MEMBER_ENUM_MAX:
+        ap.error(f"n must be in 1..{MEMBER_ENUM_MAX}, got {args.n}")
 
     t0 = time.perf_counter()
     s = survey_members(args.n, verify_oracle=args.oracle)

@@ -100,12 +100,16 @@ class AlgorithmSeq:
 
     def key(self) -> str:
         """Canonical text form, usable as a dictionary/dedupe key: each stage's
-        ``to_text``, joined by ``;``, written as one byte array."""
-        n = self.n
-        chars = np.full((n + 1, n, n + 1), ord("/"), np.uint8)  # a '/' ends each row ...
-        chars[:, -1, -1] = ord(";")  # ... and a ';' each stage
-        np.add(_to_bits(self.stack, n), ord("0"), out=chars[..., :n])
-        return str(chars.reshape(-1)[:-1], "ascii")  # decoded in place: no bytes copy
+        ``to_text``, joined by ``;``."""
+        return _text(self.stack, self.n)
+
+
+def _text(stack, k: int) -> str:
+    """The k x k matrices (k >= 1) of row words (N, k) in ``to_text`` form, joined by ``;``."""
+    chars = np.full((len(stack), k, k + 1), ord("/"), np.uint8)  # a '/' ends each row ...
+    chars[:, -1, -1] = ord(";")  # ... and a ';' each matrix
+    np.add(_to_bits(stack, k), ord("0"), out=chars[..., :k])
+    return str(chars.reshape(-1)[:-1], "ascii")  # decoded in place: no bytes copy
 
 
 def reversed_inverted(P: AlgorithmSeq) -> AlgorithmSeq:

@@ -1,21 +1,24 @@
 """Dense exact evaluation: the ground truth the fast checks answer to.
 
 One executor runs a stage sequence on data.  Stage k moves row i to row
-P_k i and then adds and subtracts the row pairs (2j, 2j+1); ``_run``
-does both in one pass, a gather and then the butterfly.  Rows are held
-in split order, row j holding natural row C j (C the bit rotation), so
-each gather table is the index table of an n x n map, and one
-``perm_indices`` call builds them all.  The trailing axes of the data
-are flattened into columns, and all stages run on one column panel of
-about ``_PANEL_BYTES`` before the next, so a panel's stages stay in the
-L2 cache; contiguous ranges of panels run on one thread per usable CPU.
+P_k i and then adds and subtracts the row pairs (2j, 2j+1).  ``_plan``
+splits the butterflies into runs that go in place, each in a frame (an
+order of the rows in which its butterfly j pairs rows differing in index
+bit n-1-j) reached by one gather through an n x n map's index table.  A
+frame holds butterflies whose pair directions and first-row functionals
+are biorthogonal; for a member that is the corner condition, X against
+X^-1, so it runs in ceil(n/K) frames, K the index bits whose butterflies
+keep long contiguous pieces.  The trailing axes of the data are flattened
+into columns, and all stages run on one column panel of about
+``_PANEL_BYTES`` before the next, so a panel's stages stay in the L2
+cache; contiguous ranges of panels run on one thread per usable CPU.
 
 ``transform`` runs an algorithm on any array of 2^n rows, in its dtype.
 ``evaluate`` materialises the full 2^n x 2^n signed integer matrix E,
 with no matrix products and no floating point, by running the transposed
 program (P_n^-1, ..., P_0^-1) on the identity: a column panel of E^T is
-a row block of E, and the gather maps are P's own stages.  The identity
-is never formed: each panel of it is staged, zeros and then its ones, in
+a row block of E, and the maps are P's own stages.  The identity is
+never formed: each panel of it is staged, zeros and then its ones, in
 the output rows it becomes.  A butterfly at most doubles the largest
 magnitude in a column, so no entry exceeds 2^n, and the stages run in
 the smallest signed integer type that holds 2^n (int16 up to n = 14, the
@@ -33,7 +36,7 @@ import numpy as np
 
 from .algorithm import AlgorithmSeq
 from .config import SizeLimitError, active_limits
-from .gf2 import DimensionError, _solve
+from .gf2 import DimensionError, SingularError, _eliminate, _pack, _slot_ones, _solve
 
 __all__ = [
     "DependencySets",
@@ -76,65 +79,130 @@ def perm_indices(maps, n: int) -> np.ndarray:
     """Index tables of n x n maps given as row words, built together by
     doubling: row r of the result holds maps[r]*i at column i.  The maps
     are invertible by construction, so each row is a permutation."""
-    words = np.array(maps, dtype=np.intp)[:, :, None]
     # images[:, b] = q*2^b, column n-1-b of q read as an index
-    images = (((words >> np.arange(n)) & 1) << np.arange(n - 1, -1, -1)[:, None]).sum(axis=1)
+    images = (1 << np.arange(n - 1, -1, -1)) @ ((np.array(maps, dtype=np.intp)[:, :, None] >> np.arange(n)) & 1)
     idx = np.zeros((len(maps), 1 << n), dtype=np.intp)
     for b in range(n):  # q*(2^b + i) = q*2^b ^ q*i for i < 2^b
         np.bitwise_xor(idx[:, : 1 << b], images[:, b : b + 1], out=idx[:, 1 << b : 2 << b])
     return idx
 
 
-# the signed types an evaluation may run in, with their largest values
-_WORKING_TYPES = tuple((np.dtype(t), int(np.iinfo(t).max)) for t in (np.int16, np.int32, np.int64))
-
-
 def _working_dtype(n: int) -> np.dtype:
     """The smallest signed integer type that holds every entry of a
     2^n-point evaluation, whose magnitudes are at most 2^n."""
-    return next(t for t, top in _WORKING_TYPES if top >= 1 << n)
+    return np.dtype(np.int16 if n < 15 else np.int32 if n < 31 else np.int64)
+
+
+# a butterfly along index bit b adds pieces of 2^b tiles; shorter pieces than this cost more per element
+_RUN_CHUNK = 4096
+
+
+def _mul(a: int, b, every: int) -> int:
+    """a b for n x n matrices, a packed as ``gf2._pack`` packs row words and b as row
+    words: column k of a, spread over the row slots by ``every = _slot_ones(n, n)``, picks row k of b."""
+    out, n = 0, len(b)
+    for k, row in enumerate(b):
+        out ^= ((a >> (n - 1 - k)) & every) * row
+    return out
+
+
+def _plan(stages, last, n: int, cap: int):
+    """Runs of at most ``cap`` butterflies, and maps, for the program that
+    for each D in ``stages`` moves row i to row D^-1 i and adds and
+    subtracts the pairs (2j, 2j+1), then moves row i to row last^-1 i
+    (all n row words, one stage or more).  Column j of a run's frame F
+    is S_j e and row j of F^-1 is e^T S_j^-1 (S_j = D_0 ... D_j over the
+    run, e = e_(n-1)).  Runs grow greedily, kept as the end frame E =
+    S^-1 F and E^-1 (for one stage the rotation C, C e_0 = e): D joins
+    when the earlier rows of E^-1 D vanish on e, and the one division of
+    the new E^-1 shows D's pairs with the earlier butterflies clear.
+    Maps: F_1, E_(i-1)^-1 F_i for each later run, E^-1 last.
+    """
+    ident = [1 << (n - 1 - r) for r in range(n)]
+    if cap == 1:  # F = D C turns each row word right, and C^-1 moves the rows down
+        maps = [[(x >> 1) | ((x & 1) << (n - 1)) for x in q] for q in stages] + [last]
+        return [1] * len(stages), maps[:1] + [q[-1:] + q[:-1] for q in maps[1:]]
+    mask, every, m = (1 << n) - 1, _slot_ones(n, n), len(stages)
+    rows = lambda a: [(a >> (n * i)) & mask for i in range(n)]
+    if m == n:  # the pair directions V = (S_0 e, ..., S_(n-1) e), X of the corner condition
+        s = v = 0
+        for t, d in enumerate(stages):
+            s = _mul(s, d, every) if t else _pack(d, n)
+            v |= (s & every) << (n - 1 - t)
+        try:
+            a = _pack(_solve([(x << n) | (1 << (n - 1 - i)) for i, x in enumerate(rows(v))], n), n)
+        except SingularError:
+            a = 0
+        for t, d in enumerate(stages):  # the first-functionals are V^-1's rows when row t of V^-1 S_t is e^T
+            a = a and _mul(a, d, every)
+            a *= (a >> (n * t)) & mask == 1
+        if a:  # as for a member: every frame is V, its columns rotated, and a = V^-1 S gives E^-1 last
+            at, runs = n - 1 - (n - 1) % cap, [min(cap, n - t) for t in range(0, n, cap)]
+            end = rows(_mul(a >> (n * at) | (a & ((1 << (n * at)) - 1)) << (n * (n - at)), last, every))
+            return runs, [rows(v)] + [ident[-cap:] + ident[:-cap]] * (len(runs) - 1) + [end]
+    rot, cinv = ident[1:] + ident[:1], _pack(ident[-1:] + ident[:-1], n)  # C, C^-1
+    runs, maps, h, t = [], [], _pack(ident, n), 0  # E_0 = I
+    while t < m:
+        ei, e, r = cinv, rot, 1
+        while r < cap and t + r < m:
+            g = _mul(ei, d := stages[t + r], every)  # the rows of E^-1 D; their values on e are their last bits
+            if (col := g & every) & ((1 << (n * r)) - 1):
+                break
+            p = r + ((col >> (n * r)) & -(col >> (n * r))).bit_length() // n
+            mu = (g >> (n * p)) & mask
+            g ^= (col >> (n * p + n) << (n * p + n)) * mu  # the later rows cleared on e by row p ...
+            low = (g >> (n * r)) & mask
+            g ^= ((low ^ mu) << (n * p)) ^ ((low ^ 1) << (n * r))  # ... which gives way to e^T at row r
+            e2 = _solve([(x << n) | (1 << (n - 1 - i)) for i, x in enumerate(rows(g))], n)
+            if _mul(mu, e2, every) >> (n - r):  # the earlier columns of E are not D times the new ones
+                break
+            ei, e, r = g, e2, r + 1
+        for d in stages[t : t + r] + [e]:  # E_(i-1)^-1 F_i = E_(i-1)^-1 S E
+            h = _mul(h, d, every)
+        maps.append(rows(h))
+        runs.append(r)
+        t, h = t + r, ei
+    return runs, maps + [rows(_mul(h, last, every))]
 
 
 def _run(P: AlgorithmSeq, first: int, x: np.ndarray | None, final_perm: bool) -> np.ndarray:
     """Stages n..first of P, then P_0 if ``final_perm``, on the rows of x.
 
-    Between stages the rows are held in split order: the sum of pair j
-    at row j and the difference at row 2^(n-1) + j, so that both halves
-    of a butterfly are contiguous; row j holds natural row C j, C =
-    ``rotation_matrix(n)``.  Each table is the index table of an n x n
-    map.  On data x, stage k gathers through C^-1 P_k^-1 C (P_n^-1 C from
-    natural order) and the last scatter sends row j to P_0 C j.
-    ``x=None`` stands for the identity: the result E is int32, and the
-    program of E^T, (P_n^-1, ..., P_first^-1, A^-1) with A = P_0 if
-    ``final_perm`` else I, gathers through A C, then C^-1 P_j C for j =
-    first..n-1, and a take through C^-1 P_n places each column panel,
-    copied transposed into its row block of E, where it was staged.
+    On data x, ``_plan`` takes the inverses of P_n, ..., P_first from one
+    stack division, and last P_0^-1 or I.  ``x=None`` stands for the
+    identity: the result E is int32, and the program of E^T (A = P_0 if
+    ``final_perm`` else I, then P_first..P_(n-1), last P_n) is staged a
+    column panel at a time in the first frame, ones at F_1^-1 c, in the
+    rows of E it becomes, and after the last take copied there transposed.
     """
     n = P.n
     size = 1 << n
-    half = size >> 1
-    stages = P.stack.tolist()
+    if first > n:  # no stage, and P_0 comes only with stage 1
+        return np.eye(size, dtype=np.int32) if x is None else np.array(x)
     ident = [1 << (n - 1 - r) for r in range(n)]
-    turn = lambda q: [(w >> 1) | ((w & 1) << (n - 1)) for w in q]  # q C turns each row word right
-    down = lambda q: q[-1:] + q[:-1]  # C^-1 q moves the rows down
-    a = stages[0] if final_perm else ident
     if x is None:
-        maps = [turn(a)] + [down(turn(q)) for q in stages[first:n]] if first <= n else []
-        last = down(stages[n]) if maps else ident
+        words = P.stack.tolist()
+        stages, last = [words[0] if final_perm else ident] + words[first:n], words[n]
         dtype, ncols = _working_dtype(n), size
         out = np.empty((size, size), dtype=np.int32)
     else:
-        maps = [_solve([(w << n) | c for w, c in zip(q, turn(ident))], n) for q in stages[n : first - 1 : -1]]
-        maps = maps[:1] + [down(m) for m in maps[1:]]  # P_n^-1 C, then C^-1 P_k^-1 C
-        last = turn(a) if maps else a
+        inv = _eliminate(P.stack, [ident] * (n + 1))[1].tolist()
+        stages, last = inv[n : first - 1 : -1], inv[0] if final_perm else ident
         cols = x.reshape(size, x.size // size)
         dtype, ncols = cols.dtype, cols.shape[1]
         out = np.empty_like(cols)
-    *tables, last = perm_indices(maps + [last], n)
     width = max(1, min(ncols, _PANEL_BYTES // (size * dtype.itemsize)))
     # an identity panel is held as tiles of 16 columns, (w/16, 2^n, 16), which transpose fastest
     tile = min(width, 16) if x is None else width
-    # rows of E go out from g's tiles by halves, quarters...: none overlays a tile still unread
+    # a run takes the index bits b with tile * 2^b >= _RUN_CHUNK, and at least one
+    cap = max(1, n - ((_RUN_CHUNK - 1) // tile).bit_length())
+    runs, maps = _plan(stages, last, n, cap)
+    start, *tables, last = perm_indices(maps, n)
+    if x is None and cap > 1:  # column c of the identity has its one at row F_1^-1 c, in tile c // tile
+        at = np.empty(size, np.intp)
+        at[start] = np.arange(size)
+        tiles = np.divmod(np.arange(width), tile)
+    # rows of E go out from the second half's tiles by halves, quarters...: none overlays a tile still unread
     groups = [width // tile - (width // tile >> i) for i in range((width // tile).bit_length())] + [width // tile]
     errors = []
 
@@ -145,23 +213,37 @@ def _run(P: AlgorithmSeq, first: int, x: np.ndarray | None, final_perm: bool) ->
             for c0 in part:
                 w = min(width, ncols - c0)
                 both = out[c0 : c0 + w].view(dtype).reshape(-1) if own is None else own
-                s, g = both[: 2 * size * w].reshape(2, -1, size, min(tile, w))
-                m = s if x is None else cols[None, :, c0 : c0 + w]
-                if x is None:
-                    s.fill(0)  # the ones s[b, c0 + b tile + j, j] lie on row b of this (w / tile)-row view
+                halves = list(both[: 2 * size * w].reshape(2, -1, size, min(tile, w)))
+                # butterfly j along index bit n-1-j reads each half as the rows with that bit 0, then 1
+                views = [[h.reshape(len(h) << j, 2, -1) for j in range(cap)] for h in halves]
+                pairs = [[(y[:, 0], y[:, 1]) for y in hv] for hv in views]
+                k = (len(maps) + len(stages)) % 2  # the halves alternate at each move, the last take to the second
+                if x is not None:
+                    cols[None, :, c0 : c0 + w].take(start, 1, halves[k], "clip")
+                elif cap > 1:
+                    halves[k].fill(0)
+                    halves[k][tiles[0][:w], at[c0 : c0 + w], tiles[1][:w]] = 1
+                else:  # one butterfly to a run: the identity is staged in the first half and gathered
+                    halves[0].fill(0)  # the ones s[b, c0 + b tile + j, j] lie on row b of this (w / tile)-row view
                     both[c0 * tile :][: w * (size + tile)].reshape(w // tile, -1)[:, : tile * tile : tile + 1] = 1
-                for table in tables:
-                    # indices are in range; "clip" lets take write straight into g
-                    m.take(table, 1, g, "clip")
-                    np.add(g[:, :half], g[:, half:], out=s[:, :half])
-                    np.subtract(g[:, :half], g[:, half:], out=s[:, half:])
-                    m = s
+                    halves[0].take(start, 1, halves[1], "clip")
+                for i, r in enumerate(runs):
+                    if i:
+                        # indices are in range; "clip" lets take write straight into the other half
+                        halves[k].take(tables[i - 1], 1, halves[1 - k], "clip")
+                        k = 1 - k
+                    for j in range(r):
+                        (a0, a1), (b0, b1) = pairs[k][j], pairs[1 - k][j]
+                        np.add(a0, a1, out=b0)
+                        np.subtract(a0, a1, out=b1)
+                        k = 1 - k
                 if x is None:
-                    m.take(last, 1, g, "clip")
+                    g = halves[1]
+                    halves[0].take(last, 1, g, "clip")
                     for b, e in zip(groups, groups[1:]):
                         out[c0 + b * tile : c0 + e * tile].reshape(-1, tile, size)[...] = g[b:e].transpose(0, 2, 1)
                 else:
-                    out[last, c0 : c0 + w] = m[0]
+                    halves[k].take(last, 1, out[None, :, c0 : c0 + w], "clip")
         except BaseException as exc:  # raised again in the caller once every thread is done
             errors.append(exc)
 
@@ -185,8 +267,8 @@ def transform(P: AlgorithmSeq, x) -> np.ndarray:
 
     Equals ``evaluate(P)`` times x, computed in ``x.dtype`` without
     forming the matrix; integer dtypes wrap on overflow.  Besides the
-    output it holds n+1 index tables of 2^n entries and two panel
-    buffers per thread, so only the shape is checked, not the size guard.
+    output it holds runs+1 <= n+1 index tables of 2^n entries and two
+    panel buffers per thread, so only the shape is checked, not the guard.
     """
     x = np.asarray(x)
     size = 1 << P.n

@@ -22,8 +22,8 @@ regex match only where the row-by-row loop would read the same rows and
 stop at the same offset, and else runs that loop from the same position, so
 every error text, line and column is the loop's.  Either way it gives the
 canonical row text, and ``parse_sequence`` decodes all n+1 of them into
-the stage words at once.  ``format_sequence`` writes ``AlgorithmSeq.key()``,
-the one writer of a stage stack, with ``; `` between stages.
+the stage words at once.  ``format_sequence`` and ``format_factors``
+write through ``algorithm._text``, the one writer of a word stack.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algorithm import AlgorithmSeq, _proved, _sequence
+from .algorithm import AlgorithmSeq, _proved, _sequence, _text
 from .config import N_MAX
 from .factory import FactorTuple, _factors
 from .gf2 import _words
@@ -215,7 +215,6 @@ def parse_factors(text: str) -> FactorTuple:
 
 
 def format_factors(f: FactorTuple) -> str:
-    parts = [f"n={f.n}", f.b.to_text()]
-    if f.n > 1:
-        parts.extend(q.to_text() for q in f.qs)
-    return f"{parts[0]}; " + "; ".join(parts[1:])
+    n = f.n  # at n = 1 each inner matrix is 0x0 and written as nothing
+    mats = _text(f.b_words[None], n) + (";" + _text(f.q_words, n - 1) if n > 1 else "")
+    return f"n={n}; " + mats.replace(";", "; ")

@@ -203,6 +203,13 @@ def forced_singular_sequence(n: int, rng: random.Random, fixed: int = 1) -> Algo
     return AlgorithmSeq(tuple(mats))
 
 
+def naive_format_factors(f) -> str:
+    """The factor text written one matrix at a time through ``to_text``;
+    at n = 1 the 0x0 inner matrix is written as nothing."""
+    parts = [f"n={f.n}", f.b.to_text()] + ([q.to_text() for q in f.qs] if f.n > 1 else [])
+    return f"{parts[0]}; " + "; ".join(parts[1:])
+
+
 def perm_matrix(q: BitMatrix) -> np.ndarray:
     """Dense 0/1 matrix of the index permutation i -> q*i, entry by entry."""
     size = 1 << q.rows

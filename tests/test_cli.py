@@ -265,6 +265,29 @@ def test_scripts_run(argv, first):
     assert proc.stdout.splitlines()[0].startswith(first)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("run_census.py", "4"),
+        ("run_census.py", "0"),
+        ("find_counterexamples.py", "--n", "1"),
+        ("find_counterexamples.py", "--n", "2", "65"),
+    ],
+)
+def test_scripts_refuse_bad_sizes(argv):
+    """A size outside the scripts' range is one usage error, exit 2, before any work."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert re.fullmatch(rf"{argv[0]}: error: .*n must be in \d\.\.\d+, got -?\d+", proc.stderr.splitlines()[-1])
+
+
 def test_enumerate_n2_table(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "-n", "2", "--format", "table")
     assert code == 0

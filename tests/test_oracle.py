@@ -10,21 +10,24 @@ from hypothesis import strategies as st
 
 from linwht import (
     AlgorithmSeq,
+    BitMatrix,
     DimensionError,
     SizeLimitError,
     evaluate,
     hadamard,
     iterative_ct,
+    check_membership,
     pease,
     reversed_inverted,
     sample_member,
     transform,
 )
 from linwht import oracle
-from linwht.gf2 import parity, rotation_matrix
+from linwht.gf2 import identity, parity, rotation_matrix
 from linwht.groups import random_invertible
 from linwht.oracle import (
     _PANEL_BYTES,
+    _plan,
     _run,
     _working_dtype,
     dependency_sets,
@@ -42,6 +45,7 @@ from helpers import (
     perm_matrix,
     random_sequence,
     reshape_fwht,
+    twisted_member,
 )
 
 
@@ -496,3 +500,84 @@ def test_worker_error_raises_in_the_caller(monkeypatch):
     with pytest.raises(MemoryError, match="in a worker thread"):
         evaluate(pease(10))
     assert (evaluate(pease(9)) == hadamard(9)).all()  # one panel: no worker thread
+
+
+def _plan_sequence(kind: str, n: int, seed: int) -> AlgorithmSeq:
+    """A member, a member with one stage replaced, a member with P_n
+    replaced by P_n R or P_0 by A P_0, or a random sequence."""
+    rng = random.Random(f"plan/{kind}/{n}/{seed}")
+    if kind == "random":
+        return random_sequence(n, rng)
+    if kind == "twisted P_0":
+        return twisted_member(n, rng)
+    mats = list(sample_member(n, rng.randrange(1 << 30)).matrices)
+    if kind == "near":
+        mats[rng.randrange(n + 1)] = random_invertible(n, rng)
+    elif kind == "twisted P_n":
+        mats[n] = mats[n] @ random_invertible(n, rng)
+    return AlgorithmSeq(tuple(mats))
+
+
+def _checked_plan(stages, last, n: int, cap: int) -> list[int]:
+    """``_plan``'s runs, after checking on words that its maps give every
+    run a frame F (F_1 = G_1, then F_i = E_{i-1} G_i with E = S^-1 F, S
+    the run's product) whose column j is S_j e and whose inverse has row j
+    e^T S_j^-1 (S_j = D_0 ... D_j over the run); that a run short of the
+    cap ends at a stage failing the pairwise condition with one of it; and
+    that the last map is E^-1 last."""
+    runs, maps = _plan(stages, last, n, cap)
+    mats = [BitMatrix(n, n, tuple(q)) for q in stages]
+    assert sum(runs) == len(mats) and all(1 <= r <= cap for r in runs) and len(maps) == len(runs) + 1
+    e, t = identity(n), 0
+    for i, (r, g) in enumerate(zip(runs, maps)):
+        f = e @ BitMatrix(n, n, tuple(g))
+        f_inv = f.inverse()
+        s = [mats[t]]
+        for d in mats[t + 1 : t + r + 1]:
+            s.append(s[-1] @ d)
+        v = [p.apply(1) for p in s]  # the pair directions S_j e ...
+        w = [p.inverse().words[n - 1] for p in s]  # ... and first-functionals e^T S_j^-1
+        for j in range(r):
+            assert f.apply(1 << (n - 1 - j)) == v[j] and f_inv.words[j] == w[j], (i, j)
+        if r < cap and t + r < len(mats):  # greedy: the next stage could not join
+            assert any(parity(w[j] & v[r]) or parity(w[r] & v[j]) for j in range(r))
+        e, t = s[r - 1].inverse() @ f, t + r
+    assert list(maps[-1]) == list((e.inverse() @ BitMatrix(n, n, tuple(last))).words)
+    return runs
+
+
+_PLAN_KINDS = ("member", "near", "twisted P_n", "twisted P_0", "random")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_PLAN_KINDS), st.integers(2, 10), st.integers(1, 10), st.integers(0, 2**30))
+def test_plan_runs_follow_the_corner_condition(kind, n, cap, seed):
+    """On the program of E^T (stages P_0..P_(n-1), last P_n), one run holds
+    every butterfly exactly when the inverse condition holds, and a member
+    runs in ceil(n / cap) runs; partial programs (I, P_k..P_(n-1)) and the
+    data program (P_n^-1, ..., P_1^-1, last P_0^-1) plan valid frames too."""
+    P = _plan_sequence(kind, n, seed)
+    words = P.stack.tolist()
+    cap = min(cap, n)
+    assert (len(_checked_plan(words[:n], words[n], n, n)) == 1) == check_membership(P).cond_inverse
+    runs = _checked_plan(words[:n], words[n], n, cap)
+    if kind != "near" and kind != "random":
+        assert runs == [min(cap, n - t) for t in range(0, n, cap)]
+    k = seed % n + 1
+    _checked_plan([identity(n).words] + words[k:n], words[n], n, cap)
+    inv = [q.inverse().words for q in P.matrices]
+    _checked_plan(inv[n:0:-1], inv[0], n, cap)
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_float_transform_is_bitwise_naive(n):
+    """The runs move rows between butterflies but add and subtract the same
+    pairs in the same order as the stage-by-stage reference, so float64
+    results are the same bytes."""
+    rng = random.Random(n)
+    seqs = [pease(n), iterative_ct(n), sample_member(n, rng.randrange(1 << 30)), random_sequence(n, rng)]
+    data = np.random.default_rng(n)
+    xs = [data.standard_normal(1 << n)] + ([data.standard_normal((1 << n, 3))] if n <= 12 else [])
+    for P in seqs:
+        for x in xs:
+            assert transform(P, x).tobytes() == naive_transform(P, x).tobytes()

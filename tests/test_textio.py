@@ -19,7 +19,7 @@ from linwht.textio import (
     parse_sequence,
 )
 
-from helpers import FIXTURES, random_sequence, read_fixture
+from helpers import FIXTURES, naive_format_factors, random_sequence, read_fixture
 
 
 def test_parse_canonical_line():
@@ -177,6 +177,15 @@ def test_factor_round_trip():
     text = format_factors(f)
     assert parse_factors(text) == f
     assert format_factors(parse_factors(text)) == text
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 64])
+def test_factor_text_matches_per_matrix_writer(n):
+    """``format_factors`` writes B and the stacked inner matrices through one
+    byte array each, byte for byte as ``to_text`` writes each matrix."""
+    for seed in range(3):
+        f = factorize(sample_member(n, seed))
+        assert format_factors(f) == naive_format_factors(f)
 
 
 def test_factor_grammar_n1():
