@@ -4,14 +4,14 @@ One executor runs a stage sequence on data.  Stage k moves row i to row
 P_k i and then adds and subtracts the row pairs (2j, 2j+1).  ``_plan``
 splits the butterflies into runs that go in place, each in a frame (an
 order of the rows in which its butterfly j pairs rows differing in index
-bit n-1-j) reached by one gather through an n x n map's index table.  A
-frame holds butterflies whose pair directions and first-row functionals
-are biorthogonal; for a member that is the corner condition, X against
-X^-1, so it runs in ceil(n/K) frames, K the index bits whose butterflies
-keep long contiguous pieces.  The trailing axes of the data are flattened
-into columns, and all stages run on one column panel of about
-``_PANEL_BYTES`` before the next, so a panel's stages stay in the L2
-cache; contiguous ranges of panels run on one thread per usable CPU.
+bit n-1-j) reached by one gather through an n x n map's index table.  By
+the corner condition, X against X^-1, a member's butterflies share
+frames, ceil(n/K) of them for K the index bits whose butterflies keep
+long contiguous pieces; other programs run one butterfly to a frame.
+The trailing axes of the data are flattened into columns, and all stages
+run on one column panel of about ``_PANEL_BYTES`` before the next, so a
+panel's stages stay in the L2 cache; contiguous ranges of panels run on
+one thread per usable CPU.
 
 ``transform`` runs an algorithm on any array of 2^n rows, in its dtype.
 ``evaluate`` materialises the full 2^n x 2^n signed integer matrix E,
@@ -79,18 +79,23 @@ def perm_indices(maps, n: int) -> np.ndarray:
     """Index tables of n x n maps given as row words, built together by
     doubling: row r of the result holds maps[r]*i at column i.  The maps
     are invertible by construction, so each row is a permutation."""
-    # images[:, b] = q*2^b, column n-1-b of q read as an index
-    images = (1 << np.arange(n - 1, -1, -1)) @ ((np.array(maps, dtype=np.intp)[:, :, None] >> np.arange(n)) & 1)
+    words = np.array(maps, dtype=np.intp)[:, :, None]
+    # images[:, b] = q*2^b, column n-1-b of q read as an index; a product is faster than a sum on few maps
+    images = (1 << np.arange(n - 1, -1, -1)) @ ((words >> np.arange(n)) & 1)
     idx = np.zeros((len(maps), 1 << n), dtype=np.intp)
     for b in range(n):  # q*(2^b + i) = q*2^b ^ q*i for i < 2^b
         np.bitwise_xor(idx[:, : 1 << b], images[:, b : b + 1], out=idx[:, 1 << b : 2 << b])
     return idx
 
 
+# the signed types an evaluation may run in, with their largest values
+_WORKING_TYPES = tuple((np.dtype(t), int(np.iinfo(t).max)) for t in (np.int16, np.int32, np.int64))
+
+
 def _working_dtype(n: int) -> np.dtype:
     """The smallest signed integer type that holds every entry of a
     2^n-point evaluation, whose magnitudes are at most 2^n."""
-    return np.dtype(np.int16 if n < 15 else np.int32 if n < 31 else np.int64)
+    return next(t for t, top in _WORKING_TYPES if top >= 1 << n)
 
 
 # a butterfly along index bit b adds pieces of 2^b tiles; shorter pieces than this cost more per element
@@ -112,19 +117,16 @@ def _plan(stages, last, n: int, cap: int):
     subtracts the pairs (2j, 2j+1), then moves row i to row last^-1 i
     (all n row words, one stage or more).  Column j of a run's frame F
     is S_j e and row j of F^-1 is e^T S_j^-1 (S_j = D_0 ... D_j over the
-    run, e = e_(n-1)).  Runs grow greedily, kept as the end frame E =
-    S^-1 F and E^-1 (for one stage the rotation C, C e_0 = e): D joins
-    when the earlier rows of E^-1 D vanish on e, and the one division of
-    the new E^-1 shows D's pairs with the earlier butterflies clear.
-    Maps: F_1, E_(i-1)^-1 F_i for each later run, E^-1 last.
+    run, e = e_(n-1)); E = S^-1 F is the run's end frame.  Maps: F_1,
+    E_(i-1)^-1 F_i for each later run, E^-1 last.  When all n butterflies'
+    pair directions and first-functionals are biorthogonal (for a member,
+    the corner condition) every frame is X = (S_0 e, ..., S_(n-1) e) with
+    its columns rotated; otherwise each butterfly runs in its own frame D C,
+    C the bit rotation with C e_0 = e.
     """
-    ident = [1 << (n - 1 - r) for r in range(n)]
-    if cap == 1:  # F = D C turns each row word right, and C^-1 moves the rows down
-        maps = [[(x >> 1) | ((x & 1) << (n - 1)) for x in q] for q in stages] + [last]
-        return [1] * len(stages), maps[:1] + [q[-1:] + q[:-1] for q in maps[1:]]
-    mask, every, m = (1 << n) - 1, _slot_ones(n, n), len(stages)
-    rows = lambda a: [(a >> (n * i)) & mask for i in range(n)]
-    if m == n:  # the pair directions V = (S_0 e, ..., S_(n-1) e), X of the corner condition
+    if len(stages) == n and cap > 1:
+        mask, every = (1 << n) - 1, _slot_ones(n, n)
+        rows = lambda a: [(a >> (n * i)) & mask for i in range(n)]
         s = v = 0
         for t, d in enumerate(stages):
             s = _mul(s, d, every) if t else _pack(d, n)
@@ -133,36 +135,17 @@ def _plan(stages, last, n: int, cap: int):
             a = _pack(_solve([(x << n) | (1 << (n - 1 - i)) for i, x in enumerate(rows(v))], n), n)
         except SingularError:
             a = 0
-        for t, d in enumerate(stages):  # the first-functionals are V^-1's rows when row t of V^-1 S_t is e^T
+        for t, d in enumerate(stages):  # the first-functionals are X^-1's rows when row t of X^-1 S_t is e^T
             a = a and _mul(a, d, every)
             a *= (a >> (n * t)) & mask == 1
-        if a:  # as for a member: every frame is V, its columns rotated, and a = V^-1 S gives E^-1 last
+        if a:  # a = X^-1 S, its rows rotated as the last frame's columns, gives E^-1 last
             at, runs = n - 1 - (n - 1) % cap, [min(cap, n - t) for t in range(0, n, cap)]
             end = rows(_mul(a >> (n * at) | (a & ((1 << (n * at)) - 1)) << (n * (n - at)), last, every))
+            ident = [1 << (n - 1 - r) for r in range(n)]
             return runs, [rows(v)] + [ident[-cap:] + ident[:-cap]] * (len(runs) - 1) + [end]
-    rot, cinv = ident[1:] + ident[:1], _pack(ident[-1:] + ident[:-1], n)  # C, C^-1
-    runs, maps, h, t = [], [], _pack(ident, n), 0  # E_0 = I
-    while t < m:
-        ei, e, r = cinv, rot, 1
-        while r < cap and t + r < m:
-            g = _mul(ei, d := stages[t + r], every)  # the rows of E^-1 D; their values on e are their last bits
-            if (col := g & every) & ((1 << (n * r)) - 1):
-                break
-            p = r + ((col >> (n * r)) & -(col >> (n * r))).bit_length() // n
-            mu = (g >> (n * p)) & mask
-            g ^= (col >> (n * p + n) << (n * p + n)) * mu  # the later rows cleared on e by row p ...
-            low = (g >> (n * r)) & mask
-            g ^= ((low ^ mu) << (n * p)) ^ ((low ^ 1) << (n * r))  # ... which gives way to e^T at row r
-            e2 = _solve([(x << n) | (1 << (n - 1 - i)) for i, x in enumerate(rows(g))], n)
-            if _mul(mu, e2, every) >> (n - r):  # the earlier columns of E are not D times the new ones
-                break
-            ei, e, r = g, e2, r + 1
-        for d in stages[t : t + r] + [e]:  # E_(i-1)^-1 F_i = E_(i-1)^-1 S E
-            h = _mul(h, d, every)
-        maps.append(rows(h))
-        runs.append(r)
-        t, h = t + r, ei
-    return runs, maps + [rows(_mul(h, last, every))]
+    # F = D C turns each row word right, and C^-1 moves the rows down
+    maps = [[(x >> 1) | ((x & 1) << (n - 1)) for x in q] for q in stages] + [last]
+    return [1] * len(stages), maps[:1] + [q[-1:] + q[:-1] for q in maps[1:]]
 
 
 def _run(P: AlgorithmSeq, first: int, x: np.ndarray | None, final_perm: bool) -> np.ndarray:
@@ -198,10 +181,9 @@ def _run(P: AlgorithmSeq, first: int, x: np.ndarray | None, final_perm: bool) ->
     cap = max(1, n - ((_RUN_CHUNK - 1) // tile).bit_length())
     runs, maps = _plan(stages, last, n, cap)
     start, *tables, last = perm_indices(maps, n)
-    if x is None and cap > 1:  # column c of the identity has its one at row F_1^-1 c, in tile c // tile
+    if x is None:  # column c of the identity has its one at row F_1^-1 c
         at = np.empty(size, np.intp)
         at[start] = np.arange(size)
-        tiles = np.divmod(np.arange(width), tile)
     # rows of E go out from the second half's tiles by halves, quarters...: none overlays a tile still unread
     groups = [width // tile - (width // tile >> i) for i in range((width // tile).bit_length())] + [width // tile]
     errors = []
@@ -218,15 +200,12 @@ def _run(P: AlgorithmSeq, first: int, x: np.ndarray | None, final_perm: bool) ->
                 views = [[h.reshape(len(h) << j, 2, -1) for j in range(cap)] for h in halves]
                 pairs = [[(y[:, 0], y[:, 1]) for y in hv] for hv in views]
                 k = (len(maps) + len(stages)) % 2  # the halves alternate at each move, the last take to the second
-                if x is not None:
-                    cols[None, :, c0 : c0 + w].take(start, 1, halves[k], "clip")
-                elif cap > 1:
+                if x is None:
                     halves[k].fill(0)
-                    halves[k][tiles[0][:w], at[c0 : c0 + w], tiles[1][:w]] = 1
-                else:  # one butterfly to a run: the identity is staged in the first half and gathered
-                    halves[0].fill(0)  # the ones s[b, c0 + b tile + j, j] lie on row b of this (w / tile)-row view
-                    both[c0 * tile :][: w * (size + tile)].reshape(w // tile, -1)[:, : tile * tile : tile + 1] = 1
-                    halves[0].take(start, 1, halves[1], "clip")
+                    ones = at[c0 : c0 + w].reshape(-1, min(tile, w))  # by tile, then column in the tile
+                    halves[k][np.arange(len(ones))[:, None], ones, np.arange(ones.shape[1])] = 1
+                else:
+                    cols[None, :, c0 : c0 + w].take(start, 1, halves[k], "clip")
                 for i, r in enumerate(runs):
                     if i:
                         # indices are in range; "clip" lets take write straight into the other half

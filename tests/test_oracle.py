@@ -522,9 +522,8 @@ def _checked_plan(stages, last, n: int, cap: int) -> list[int]:
     """``_plan``'s runs, after checking on words that its maps give every
     run a frame F (F_1 = G_1, then F_i = E_{i-1} G_i with E = S^-1 F, S
     the run's product) whose column j is S_j e and whose inverse has row j
-    e^T S_j^-1 (S_j = D_0 ... D_j over the run); that a run short of the
-    cap ends at a stage failing the pairwise condition with one of it; and
-    that the last map is E^-1 last."""
+    e^T S_j^-1 (S_j = D_0 ... D_j over the run), and that the last map is
+    E^-1 last."""
     runs, maps = _plan(stages, last, n, cap)
     mats = [BitMatrix(n, n, tuple(q)) for q in stages]
     assert sum(runs) == len(mats) and all(1 <= r <= cap for r in runs) and len(maps) == len(runs) + 1
@@ -539,8 +538,6 @@ def _checked_plan(stages, last, n: int, cap: int) -> list[int]:
         w = [p.inverse().words[n - 1] for p in s]  # ... and first-functionals e^T S_j^-1
         for j in range(r):
             assert f.apply(1 << (n - 1 - j)) == v[j] and f_inv.words[j] == w[j], (i, j)
-        if r < cap and t + r < len(mats):  # greedy: the next stage could not join
-            assert any(parity(w[j] & v[r]) or parity(w[r] & v[j]) for j in range(r))
         e, t = s[r - 1].inverse() @ f, t + r
     assert list(maps[-1]) == list((e.inverse() @ BitMatrix(n, n, tuple(last))).words)
     return runs
