@@ -2,28 +2,28 @@
 
 One executor runs a stage sequence on data.  Stage k moves row i to row
 P_k i and then adds and subtracts the row pairs (2j, 2j+1).  ``_plan``
-splits the butterflies into runs that go in place, each in a frame (an
-order of the rows in which its butterfly j pairs rows differing in index
-bit n-1-j) reached by one gather through an n x n map's index table.  By
-the corner condition, X against X^-1, a member's butterflies share
-frames, ceil(n/K) of them for K the index bits whose butterflies keep
-long contiguous pieces; other programs run one butterfly to a frame.
-The trailing axes of the data are flattened into columns, and all stages
-run on one column panel of about ``_PANEL_BYTES`` before the next, so a
-panel's stages stay in the L2 cache; contiguous ranges of panels run on
-one thread per usable CPU.
+splits the butterflies into runs, each in a frame (an order of the rows
+in which its butterfly j pairs rows differing in index bit n-1-j) reached
+by one gather through an n x n map's index table.  By the corner
+condition, X against X^-1, a member's butterflies share frames: runs of
+K, the index bits whose butterflies keep long contiguous pieces, each in
+place; other programs run one butterfly to a frame.  The trailing axes of
+the data are flattened into columns, and all stages run on one column
+panel of about ``_PANEL_BYTES`` before the next, so a panel's stages stay
+in the L2 cache; contiguous ranges of panels run on one thread per CPU.
 
 ``transform`` runs an algorithm on any array of 2^n rows, in its dtype.
 ``evaluate`` materialises the full 2^n x 2^n signed integer matrix E,
 with no matrix products and no floating point, by running the transposed
 program (P_n^-1, ..., P_0^-1) on the identity: a column panel of E^T is
 a row block of E, and the maps are P's own stages.  The identity is
-never formed: each panel of it is staged, zeros and then its ones, in
-the output rows it becomes.  A butterfly at most doubles the largest
-magnitude in a column, so no entry exceeds 2^n, and the stages run in
-the smallest signed integer type that holds 2^n (int16 up to n = 14, the
-default size guard).  ``hadamard`` builds the transform itself, whose
-entry (i, j) is (-1)^popcount(i & j), by Sylvester doubling in place.
+never formed: a first run's butterflies on a unit vector leave Sylvester
+signs, which each panel writes into the output rows it becomes (for a
+member, all n - K short index bits, then one run of K in place).  A
+butterfly at most doubles the largest magnitude in a column, so no entry
+exceeds 2^n, and the stages run in the smallest signed integer type that
+holds 2^n (int16 up to n = 14, the default size guard).  ``hadamard``
+builds the transform, whose entry (i, j) is (-1)^popcount(i & j).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,7 +85,7 @@ def perm_indices(maps, n: int) -> np.ndarray:
     images = (1 << np.arange(n - 1, -1, -1)) @ ((words >> np.arange(n)) & 1)
     idx = np.zeros((len(maps), 1 << n), dtype=np.intp)
     for b in range(n):  # q*(2^b + i) = q*2^b ^ q*i for i < 2^b
-        np.bitwise_xor(idx[:, : 1 << b], images[:, b : b + 1], out=idx[:, 1 << b : 2 << b])
+        np.bitwise_xor(idx[:, : 1 << b], images[:, b : b + 1], idx[:, 1 << b : 2 << b])
     return idx
 
 
@@ -95,11 +96,17 @@ _WORKING_TYPES = tuple((np.dtype(t), int(np.iinfo(t).max)) for t in (np.int16, n
 def _working_dtype(n: int) -> np.dtype:
     """The smallest signed integer type that holds every entry of a
     2^n-point evaluation, whose magnitudes are at most 2^n."""
-    return next(t for t, top in _WORKING_TYPES if top >= 1 << n)
+    for t, top in _WORKING_TYPES:
+        if top >= 1 << n:
+            return t
 
 
 # a butterfly along index bit b adds pieces of 2^b tiles; shorter pieces than this cost more per element
 _RUN_CHUNK = 4096
+# a member's plan, 2n word products and a division, repays its time on calls this large (n >= 7 on the identity)
+_PLAN_ENTRIES = 1 << 14
+# the 2^k x 2^k Sylvester block in a working type (k <= n), made once and shared as a read-only view
+_signs = lru_cache(maxsize=None)(lambda k, dtype: np.broadcast_to(hadamard(k).astype(dtype), (1 << k, 1 << k)))
 
 
 def _mul(a: int, b, every: int) -> int:
@@ -111,20 +118,21 @@ def _mul(a: int, b, every: int) -> int:
     return out
 
 
-def _plan(stages, last, n: int, cap: int):
-    """Runs of at most ``cap`` butterflies, and maps, for the program that
-    for each D in ``stages`` moves row i to row D^-1 i and adds and
-    subtracts the pairs (2j, 2j+1), then moves row i to row last^-1 i
-    (all n row words, one stage or more).  Column j of a run's frame F
-    is S_j e and row j of F^-1 is e^T S_j^-1 (S_j = D_0 ... D_j over the
-    run, e = e_(n-1)); E = S^-1 F is the run's end frame.  Maps: F_1,
-    E_(i-1)^-1 F_i for each later run, E^-1 last.  When all n butterflies'
-    pair directions and first-functionals are biorthogonal (for a member,
-    the corner condition) every frame is X = (S_0 e, ..., S_(n-1) e) with
-    its columns rotated; otherwise each butterfly runs in its own frame D C,
-    C the bit rotation with C e_0 = e.
+def _plan(stages, last, n: int, cap: int, head: int = 0):
+    """Runs, and maps, for the program that for each D in ``stages`` moves
+    row i to row D^-1 i and adds and subtracts the pairs (2j, 2j+1), then
+    moves row i to row last^-1 i (all n row words, one stage or more).
+    Column j of a run's frame F is S_j e and row j of F^-1 is e^T S_j^-1
+    (S_j = D_0 ... D_j over the run, e = e_(n-1)); E = S^-1 F is the run's
+    end frame.  Maps: F_1, E_(i-1)^-1 F_i for each later run, E^-1 last.
+    When all n butterflies' pair directions and first-functionals are
+    biorthogonal (for a member, the corner condition) every frame is X =
+    (S_0 e, ..., S_(n-1) e) with its columns rotated, in runs of ``head``
+    (written, so uncapped) and then of at most ``cap``; otherwise each
+    butterfly runs in its own frame D C, C the bit rotation with C e_0 = e.
     """
-    if len(stages) == n and cap > 1:
+    # butterflies t and t+1 are biorthogonal only if e^T D_(t+1) e = 0, which most other programs fail
+    if len(stages) == n and max(cap, head) > 1 and not any(d[-1] & 1 for d in stages[1:]):
         mask, every = (1 << n) - 1, _slot_ones(n, n)
         rows = lambda a: [(a >> (n * i)) & mask for i in range(n)]
         s = v = 0
@@ -139,10 +147,11 @@ def _plan(stages, last, n: int, cap: int):
             a = a and _mul(a, d, every)
             a *= (a >> (n * t)) & mask == 1
         if a:  # a = X^-1 S, its rows rotated as the last frame's columns, gives E^-1 last
-            at, runs = n - 1 - (n - 1) % cap, [min(cap, n - t) for t in range(0, n, cap)]
+            runs = [head] * (head > 0) + [min(cap, n - t) for t in range(head, n, cap)]
+            at = n - runs[-1]
             end = rows(_mul(a >> (n * at) | (a & ((1 << (n * at)) - 1)) << (n * (n - at)), last, every))
             ident = [1 << (n - 1 - r) for r in range(n)]
-            return runs, [rows(v)] + [ident[-cap:] + ident[:-cap]] * (len(runs) - 1) + [end]
+            return runs, [rows(v)] + [ident[-r:] + ident[:-r] for r in runs[:-1]] + [end]
     # F = D C turns each row word right, and C^-1 moves the rows down
     maps = [[(x >> 1) | ((x & 1) << (n - 1)) for x in q] for q in stages] + [last]
     return [1] * len(stages), maps[:1] + [q[-1:] + q[:-1] for q in maps[1:]]
@@ -154,21 +163,21 @@ def _run(P: AlgorithmSeq, first: int, x: np.ndarray | None, final_perm: bool) ->
     On data x, ``_plan`` takes the inverses of P_n, ..., P_first from one
     stack division, and last P_0^-1 or I.  ``x=None`` stands for the
     identity: the result E is int32, and the program of E^T (A = P_0 if
-    ``final_perm`` else I, then P_first..P_(n-1), last P_n) is staged a
-    column panel at a time in the first frame, ones at F_1^-1 c, in the
-    rows of E it becomes, and after the last take copied there transposed.
+    ``final_perm`` else I, then P_first..P_(n-1), last P_n) starts each
+    column panel in the rows of E it becomes, its first run written, and
+    after the last take copies it there transposed.
     """
     n = P.n
     size = 1 << n
     if first > n:  # no stage, and P_0 comes only with stage 1
         return np.eye(size, dtype=np.int32) if x is None else np.array(x)
-    ident = [1 << (n - 1 - r) for r in range(n)]
     if x is None:
         words = P.stack.tolist()
-        stages, last = [words[0] if final_perm else ident] + words[first:n], words[n]
+        stages, last = [words[0] if final_perm else [1 << (n - 1 - r) for r in range(n)]] + words[first:n], words[n]
         dtype, ncols = _working_dtype(n), size
         out = np.empty((size, size), dtype=np.int32)
     else:
+        ident = [1 << (n - 1 - r) for r in range(n)]
         inv = _eliminate(P.stack, [ident] * (n + 1))[1].tolist()
         stages, last = inv[n : first - 1 : -1], inv[0] if final_perm else ident
         cols = x.reshape(size, x.size // size)
@@ -177,13 +186,17 @@ def _run(P: AlgorithmSeq, first: int, x: np.ndarray | None, final_perm: bool) ->
     width = max(1, min(ncols, _PANEL_BYTES // (size * dtype.itemsize)))
     # an identity panel is held as tiles of 16 columns, (w/16, 2^n, 16), which transpose fastest
     tile = min(width, 16) if x is None else width
-    # a run takes the index bits b with tile * 2^b >= _RUN_CHUNK, and at least one
-    cap = max(1, n - ((_RUN_CHUNK - 1) // tile).bit_length())
-    runs, maps = _plan(stages, last, n, cap)
+    # a run in place takes the index bits b with tile * 2^b >= _RUN_CHUNK, and at least one
+    cap = max(1, long := n - ((_RUN_CHUNK - 1) // tile).bit_length())
+    # the identity's first run is written: a member's holds every index bit too short to run in place
+    runs, maps = _plan(stages, last, n, cap, n - max(0, long) if x is None and ncols << n >= _PLAN_ENTRIES else 0)
     start, *tables, last = perm_indices(maps, n)
-    if x is None:  # column c of the identity has its one at row F_1^-1 c
+    written = runs[0] if x is None else 0
+    if x is None:  # column c of the identity has its one at row r = F_1^-1 c, split (hi, lo) at bit n - written
         at = np.empty(size, np.intp)
         at[start] = np.arange(size)
+        hi, lo = np.divmod(at.reshape(-1, width // tile, tile), 1 << (n - written))  # by panel, tile, column
+        signs, tiles, cols_in = _signs(written, dtype), np.arange(width // tile)[:, None], np.arange(tile)
     # rows of E go out from the second half's tiles by halves, quarters...: none overlays a tile still unread
     groups = [width // tile - (width // tile >> i) for i in range((width // tile).bit_length())] + [width // tile]
     errors = []
@@ -197,13 +210,15 @@ def _run(P: AlgorithmSeq, first: int, x: np.ndarray | None, final_perm: bool) ->
                 both = out[c0 : c0 + w].view(dtype).reshape(-1) if own is None else own
                 halves = list(both[: 2 * size * w].reshape(2, -1, size, min(tile, w)))
                 # butterfly j along index bit n-1-j reads each half as the rows with that bit 0, then 1
-                views = [[h.reshape(len(h) << j, 2, -1) for j in range(cap)] for h in halves]
-                pairs = [[(y[:, 0], y[:, 1]) for y in hv] for hv in views]
-                k = (len(maps) + len(stages)) % 2  # the halves alternate at each move, the last take to the second
+                views = [both[: 2 * size * w].reshape(2, len(halves[0]) << j, 2, -1) for j in range(cap)]
+                pairs = [[(y[h, :, 0], y[h, :, 1]) for y in views] for h in (0, 1)]
+                k = (len(maps) + len(stages) - written) % 2  # halves alternate at each move, ending at the second
                 if x is None:
+                    # the first run's butterflies on e_r leave (-1)^popcount(v & hi) at rows (v, lo)
+                    rows = both[(1 - k) * size * w :][: w << written].reshape(w // tile, tile, -1)
+                    signs.take(hi[c0 // width], 0, rows, "clip")
                     halves[k].fill(0)
-                    ones = at[c0 : c0 + w].reshape(-1, min(tile, w))  # by tile, then column in the tile
-                    halves[k][np.arange(len(ones))[:, None], ones, np.arange(ones.shape[1])] = 1
+                    halves[k].reshape(w // tile, 1 << written, -1, tile)[tiles, :, lo[c0 // width], cols_in] = rows
                 else:
                     cols[None, :, c0 : c0 + w].take(start, 1, halves[k], "clip")
                 for i, r in enumerate(runs):
@@ -211,10 +226,10 @@ def _run(P: AlgorithmSeq, first: int, x: np.ndarray | None, final_perm: bool) ->
                         # indices are in range; "clip" lets take write straight into the other half
                         halves[k].take(tables[i - 1], 1, halves[1 - k], "clip")
                         k = 1 - k
-                    for j in range(r):
+                    for j in range(0 if i else written, r):
                         (a0, a1), (b0, b1) = pairs[k][j], pairs[1 - k][j]
-                        np.add(a0, a1, out=b0)
-                        np.subtract(a0, a1, out=b1)
+                        np.add(a0, a1, b0)
+                        np.subtract(a0, a1, b1)
                         k = 1 - k
                 if x is None:
                     g = halves[1]

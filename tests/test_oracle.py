@@ -451,6 +451,89 @@ def test_row_blocks_in_other_panel_shapes(dtype, panel_bytes, monkeypatch):
         assert (evaluate(P) == want).all(), cpus
 
 
+def _member_path_sequences(n: int) -> list[AlgorithmSeq]:
+    """``pease``, ``ict``, a sampled member and members twisted by P_n R and
+    by A P_0, which keep the inverse condition, then a near-member and a
+    random sequence, which mostly do not."""
+    kinds = ["member", "twisted P_n"] + ["twisted P_0"] * (n > 1) + ["near", "random"]
+    return [pease(n), iterative_ct(n)] + [_plan_sequence(kind, n, 0) for kind in kinds]
+
+
+def _assert_data_path(got: np.ndarray, P: AlgorithmSeq, k: int, final_perm: bool) -> None:
+    """``got`` equals the int64 data path on the identity, which writes no
+    run, 512 columns at a time."""
+    size = 1 << P.n
+    for c0 in range(0, size, 512):
+        want = _run(P, k, np.eye(size, min(size, 512), -c0, dtype=np.int64), final_perm)
+        assert (got[:, c0 : c0 + 512] == want).all(), (k, c0)
+
+
+def _spy_plans(monkeypatch) -> list:
+    """The (runs, maps) of every ``_plan`` call from here on."""
+    plans = []
+
+    def spy(*args):
+        plans.append(_plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(oracle, "_plan", spy)
+    return plans
+
+
+def _writes_a_member_run(runs: list[int]) -> bool:
+    return len(runs) <= 2 and runs[0] > 1
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_written_first_runs_match_the_data_path_on_any_thread_count(n, monkeypatch):
+    """From ``_PLAN_ENTRIES`` entries on (n >= 7), the identity program of a
+    sequence with the inverse condition writes a first run of n - K
+    butterflies from the Sylvester signs and runs the K long index bits in
+    place; every other program writes one butterfly.  On 1, 2 and 3 usable
+    CPUs ``evaluate`` and ``evaluate_partial(P, 1)`` (D_0 = I) equal the
+    data path.  Above n=10 only the first five sequences and ``evaluate``
+    are run, for time."""
+    plans = _spy_plans(monkeypatch)
+    seqs = _member_path_sequences(n)
+    members = len(seqs) - 2
+    for i, P in enumerate(seqs[:members] if n > 10 else seqs):
+        for k in (0,) if n > 10 else (0, 1):
+            _use_cpus(monkeypatch, 1)
+            plans.clear()
+            got = evaluate(P) if k == 0 else evaluate_partial(P, k)
+            if k == 0 and n > 1:
+                want = check_membership(P).cond_inverse and 4**n >= oracle._PLAN_ENTRIES
+                assert _writes_a_member_run(plans[0][0]) == want, plans[0][0]
+            _assert_data_path(got, P, max(k, 1), k == 0)
+            for cpus in (2, 3):
+                _use_cpus(monkeypatch, cpus)
+                again = evaluate(P) if k == 0 else evaluate_partial(P, k)
+                assert again.tobytes() == got.tobytes(), (i, k, cpus)
+
+
+@pytest.mark.parametrize(
+    "dtype,panel_bytes",
+    [(np.int32, _PANEL_BYTES), (np.int32, 16 * 1024), (np.int16, 16 * 1024)],
+    ids=["int32", "int32-one-tile", "int16-one-tile"],
+)
+def test_written_first_runs_in_other_panel_shapes(dtype, panel_bytes, monkeypatch):
+    """The panel shapes above, on the sequences of the test above at n=10:
+    those with the inverse condition write their long first run in each
+    shape, on 1 and 3 threads."""
+    seqs = _member_path_sequences(10)
+    _use_cpus(monkeypatch, 1)
+    want = [_scatter_reference(P, 1, True) for P in seqs]
+    monkeypatch.setattr(oracle, "_working_dtype", lambda n: np.dtype(dtype))
+    monkeypatch.setattr(oracle, "_PANEL_BYTES", panel_bytes)
+    plans = _spy_plans(monkeypatch)
+    for cpus in (1, 3):
+        _use_cpus(monkeypatch, cpus)
+        for i, (P, w) in enumerate(zip(seqs, want)):
+            plans.clear()
+            assert (evaluate(P) == w).all(), (i, cpus)
+            assert _writes_a_member_run(plans[0][0]) == check_membership(P).cond_inverse, plans[0][0]
+
+
 def test_transform_bits_do_not_depend_on_thread_count(monkeypatch):
     """A float64 transform of many columns, split into panel ranges of
     unequal length, gives the same bits on 1, 2 and 3 threads."""
@@ -518,15 +601,16 @@ def _plan_sequence(kind: str, n: int, seed: int) -> AlgorithmSeq:
     return AlgorithmSeq(tuple(mats))
 
 
-def _checked_plan(stages, last, n: int, cap: int) -> list[int]:
+def _checked_plan(stages, last, n: int, cap: int, head: int = 0) -> list[int]:
     """``_plan``'s runs, after checking on words that its maps give every
     run a frame F (F_1 = G_1, then F_i = E_{i-1} G_i with E = S^-1 F, S
     the run's product) whose column j is S_j e and whose inverse has row j
     e^T S_j^-1 (S_j = D_0 ... D_j over the run), and that the last map is
-    E^-1 last."""
-    runs, maps = _plan(stages, last, n, cap)
+    E^-1 last.  Only a first run of ``head`` may be longer than ``cap``."""
+    runs, maps = _plan(stages, last, n, cap, head)
     mats = [BitMatrix(n, n, tuple(q)) for q in stages]
-    assert sum(runs) == len(mats) and all(1 <= r <= cap for r in runs) and len(maps) == len(runs) + 1
+    in_place = runs[1:] if runs[0] == head else runs
+    assert sum(runs) == len(mats) and all(1 <= r <= cap for r in in_place) and len(maps) == len(runs) + 1
     e, t = identity(n), 0
     for i, (r, g) in enumerate(zip(runs, maps)):
         f = e @ BitMatrix(n, n, tuple(g))
@@ -564,6 +648,45 @@ def test_plan_runs_follow_the_corner_condition(kind, n, cap, seed):
     _checked_plan([identity(n).words] + words[k:n], words[n], n, cap)
     inv = [q.inverse().words for q in P.matrices]
     _checked_plan(inv[n:0:-1], inv[0], n, cap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_PLAN_KINDS), st.integers(2, 12), st.integers(0, 11), st.integers(0, 2**30))
+def test_plan_writes_a_members_first_run(kind, n, long, seed):
+    """The identity program of a member, or of a member twisted at either
+    end, runs in two frames: n - K butterflies written, then K in place
+    (K < n the long index bits), or in one written frame when K = 0.
+    Every other program runs one butterfly to a frame."""
+    P = _plan_sequence(kind, n, seed)
+    words = P.stack.tolist()
+    long = min(long, n - 1)
+    runs = _checked_plan(words[:n], words[n], n, max(1, long), n - long)
+    if check_membership(P).cond_inverse:
+        assert runs == [n - long] + [long] * (long > 0)
+    else:
+        assert kind in ("near", "random") and runs == [1] * n
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_written_run_is_butterflies_on_staged_ones(n):
+    """By brute force: the first ``h`` butterflies (index bits n-1, ...,
+    n-h) on e_r, r = (hi, lo) split at bit n-h, leave row hi of the
+    Sylvester block at rows (v, lo) and zeros elsewhere."""
+    size = 1 << n
+    for h in range(1, n + 1):
+        signs = oracle._signs(h, np.dtype(np.int16))
+        for r in range(size):
+            x = np.zeros(size, dtype=np.int64)
+            x[r] = 1
+            for b in range(n - 1, n - 1 - h, -1):
+                y = x.copy()
+                for i in range(size):
+                    if not i >> b & 1:
+                        y[i], y[i | 1 << b] = x[i] + x[i | 1 << b], x[i] - x[i | 1 << b]
+                x = y
+            want = np.zeros(size, dtype=np.int64)
+            want[(np.arange(1 << h) << (n - h)) | (r & ((1 << (n - h)) - 1))] = signs[r >> (n - h)]
+            assert (x == want).all(), (h, r)
 
 
 @pytest.mark.parametrize("n", range(1, 17))
