@@ -166,7 +166,8 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     P = _load(args.file).seq
-    text = export_dot(P)
+    with _naming(args.file):
+        text = export_dot(P)
     if args.output:
         Path(args.output).write_text(text)
     else:

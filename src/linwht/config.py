@@ -2,10 +2,11 @@
 
 ``N_MAX`` is the representation contract: every stage sequence, parsed
 file and CLI size has 1 <= n <= N_MAX.  The ``*_ENUM_MAX`` bounds cap
-exhaustive enumeration.  The dense evaluator and the dataflow exporter
-materialise 2^n-sized objects and are guarded further; setting the
-environment variable ``WHT_MAX_N`` replaces both of those guards at
-call time.
+exhaustive enumeration.  Work of 2^n size is guarded further, by
+``_guard`` here: dense evaluation (``oracle`` and
+``membership.predict_plus_set``) and the dataflow export (``dot``), each
+against its ``Limits`` field.  Setting the environment variable
+``WHT_MAX_N`` replaces both limits at call time.
 """
 
 from __future__ import annotations
@@ -45,3 +46,14 @@ def active_limits() -> Limits:
     if v < 1:
         raise ValueError(f"{ENV_MAX_N} must be positive, got {v}")
     return Limits(oracle_max_n=v, export_max_n=v)
+
+
+def _guard(n: int, export: bool = False) -> None:
+    """Refuses a 2^n-sized computation past its limit: dense evaluation's, or the dataflow export's."""
+    limits = active_limits()
+    lim, what = (limits.export_max_n, "dataflow export") if export else (limits.oracle_max_n, "dense evaluation")
+    if not 1 <= n <= lim:
+        raise SizeLimitError(
+            f"{what} needs 1 <= n <= {lim} (2^{n} points requested); "
+            f"raise the limit with {ENV_MAX_N} if you really want this"
+        )

@@ -12,7 +12,7 @@ deterministic: identical sequences export byte-identical text.
 from __future__ import annotations
 
 from .algorithm import AlgorithmSeq
-from .config import SizeLimitError, active_limits
+from .config import _guard
 
 __all__ = ["export_dot"]
 
@@ -23,10 +23,8 @@ def export_dot(P: AlgorithmSeq) -> str:
     Membership is not required; failing sequences can be drawn too.
     Guarded by the export size limit (override via WHT_MAX_N).
     """
+    _guard(P.n, export=True)
     n, stages = P.n, P.matrices  # each P[k] makes its BitMatrix anew
-    limit = active_limits().export_max_n
-    if n > limit:
-        raise SizeLimitError(f"dataflow export supports n <= {limit}, got {n}")
     size = 1 << n
     lines = ["digraph wht {", "  rankdir=LR;"]
     for i in range(size):

@@ -20,10 +20,13 @@ of given or parsed stages and of factors, ``sample_member``'s candidates):
 with columns < c cleared, a matrix's largest row has column c iff any row
 has, so on the stack transposed a column is a max, then a XOR and a minimum
 that set each row to min(row, row ^ pivot).  With b it is the Gauss-Jordan
-loop (``build``'s divisions, ``reversed_inverted``).  ``@`` is an int loop,
-``_mul_bits`` one BLAS product over a 0/1 stack (the prefix chain, every
-P_0 of ``build``, ``factorize``'s n products, kept as n calls: one GEMM
-measured slower).
+loop (``build``'s divisions, ``reversed_inverted``).  ``_mul`` multiplies
+a matrix packed in one int the same way by row words, one carry-free
+``out ^= column_k * row_k`` per row of the right factor (``@``, packed in
+slots as wide as its wider operand, and ``oracle._plan``'s word
+products); ``_mul_bits`` is one BLAS product over a 0/1 stack (the prefix
+chain, every P_0 of ``build``, ``factorize``'s n products, kept as n
+calls: one GEMM measured slower).
 
 Everything here is immutable and every operation returns a new value,
 so instances can be shared freely across threads.
@@ -77,6 +80,16 @@ def _pack(words: Sequence[int], width: int) -> int:
 def _slot_ones(slots: int, width: int) -> int:
     """Bit 0 of each of ``slots`` slots of ``width`` bits (a base-2^width repunit)."""
     return ((1 << (slots * width)) - 1) // ((1 << width) - 1)
+
+
+def _mul(a: int, b: Sequence[int], every: int) -> int:
+    """a b with a packed as ``_pack`` packs its row words, in slots at least as wide as b's
+    rows, and b as its row words: column k of a, spread over a's row slots by ``every``
+    (``_slot_ones`` of a's rows and that width), picks row k of b."""
+    out, n = 0, len(b)
+    for k, row in enumerate(b):
+        out ^= ((a >> (n - 1 - k)) & every) * row
+    return out
 
 
 def _solve(rows: Sequence[int], m: int) -> tuple[int, ...]:
@@ -169,15 +182,9 @@ class BitMatrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        top, out = self.cols - 1, []
-        for w in self.words:
-            acc = 0
-            while w:
-                p = w.bit_length() - 1
-                acc ^= other.words[top - p]
-                w ^= 1 << p
-            out.append(acc)
-        return BitMatrix(self.rows, other.cols, tuple(out))
+        w = max(self.cols, other.cols, 1)
+        big, mask = _mul(_pack(self.words, w), other.words, _slot_ones(self.rows, w)), (1 << w) - 1
+        return BitMatrix(self.rows, other.cols, tuple((big >> (w * i)) & mask for i in range(self.rows)))
 
     def transpose(self) -> "BitMatrix":
         text, step = self.to_text(), self.cols + 1  # entry (r, c) is text[r * step + c]

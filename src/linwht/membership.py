@@ -33,10 +33,9 @@ from typing import Optional
 import numpy as np
 
 from .algorithm import AlgorithmSeq, _sequence
-from .config import N_MAX
+from .config import N_MAX, _guard
 from .gf2 import BitMatrix, DimensionError, SingularError, _mul_bits, _packed, _to_bits, parity
 from .groups import random_invertible
-from .oracle import _guard
 
 __all__ = [
     "CheckReport",

@@ -35,9 +35,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algorithm import AlgorithmSeq
-from .config import SizeLimitError, active_limits
-from .gf2 import DimensionError, SingularError, _eliminate, _pack, _slot_ones, _solve
+from . import config, gf2
+from .algorithm import AlgorithmSeq, reversed_inverted
+from .gf2 import DimensionError, SingularError
 
 __all__ = [
     "DependencySets",
@@ -53,18 +53,9 @@ __all__ = [
 _PANEL_BYTES = 512 * 1024
 
 
-def _guard(n: int) -> None:
-    lim = active_limits().oracle_max_n
-    if not 1 <= n <= lim:
-        raise SizeLimitError(
-            f"dense evaluation needs 1 <= n <= {lim} (2^{n} points requested); "
-            f"raise the limit with WHT_MAX_N if you really want this"
-        )
-
-
 def hadamard(n: int) -> np.ndarray:
     """The 2^n x 2^n Walsh-Hadamard matrix in natural (binary) order."""
-    _guard(n)
+    config._guard(n)
     h = np.empty((1 << n, 1 << n), dtype=np.int32)
     h[0, 0] = 1
     for k in range(n):
@@ -109,15 +100,6 @@ _PLAN_ENTRIES = 1 << 14
 _signs = lru_cache(maxsize=None)(lambda k, dtype: np.broadcast_to(hadamard(k).astype(dtype), (1 << k, 1 << k)))
 
 
-def _mul(a: int, b, every: int) -> int:
-    """a b for n x n matrices, a packed as ``gf2._pack`` packs row words and b as row
-    words: column k of a, spread over the row slots by ``every = _slot_ones(n, n)``, picks row k of b."""
-    out, n = 0, len(b)
-    for k, row in enumerate(b):
-        out ^= ((a >> (n - 1 - k)) & every) * row
-    return out
-
-
 def _plan(stages, last, n: int, cap: int, head: int = 0):
     """Runs, and maps, for the program that for each D in ``stages`` moves
     row i to row D^-1 i and adds and subtracts the pairs (2j, 2j+1), then
@@ -133,23 +115,23 @@ def _plan(stages, last, n: int, cap: int, head: int = 0):
     """
     # butterflies t and t+1 are biorthogonal only if e^T D_(t+1) e = 0, which most other programs fail
     if len(stages) == n and max(cap, head) > 1 and not any(d[-1] & 1 for d in stages[1:]):
-        mask, every = (1 << n) - 1, _slot_ones(n, n)
+        mask, every = (1 << n) - 1, gf2._slot_ones(n, n)
         rows = lambda a: [(a >> (n * i)) & mask for i in range(n)]
         s = v = 0
         for t, d in enumerate(stages):
-            s = _mul(s, d, every) if t else _pack(d, n)
+            s = gf2._mul(s, d, every) if t else gf2._pack(d, n)
             v |= (s & every) << (n - 1 - t)
         try:
-            a = _pack(_solve([(x << n) | (1 << (n - 1 - i)) for i, x in enumerate(rows(v))], n), n)
+            a = gf2._pack(gf2._solve([(x << n) | (1 << (n - 1 - i)) for i, x in enumerate(rows(v))], n), n)
         except SingularError:
             a = 0
         for t, d in enumerate(stages):  # the first-functionals are X^-1's rows when row t of X^-1 S_t is e^T
-            a = a and _mul(a, d, every)
+            a = a and gf2._mul(a, d, every)
             a *= (a >> (n * t)) & mask == 1
         if a:  # a = X^-1 S, its rows rotated as the last frame's columns, gives E^-1 last
             runs = [head] * (head > 0) + [min(cap, n - t) for t in range(head, n, cap)]
             at = n - runs[-1]
-            end = rows(_mul(a >> (n * at) | (a & ((1 << (n * at)) - 1)) << (n * (n - at)), last, every))
+            end = rows(gf2._mul(a >> (n * at) | (a & ((1 << (n * at)) - 1)) << (n * (n - at)), last, every))
             ident = [1 << (n - 1 - r) for r in range(n)]
             return runs, [rows(v)] + [ident[-r:] + ident[:-r] for r in runs[:-1]] + [end]
     # F = D C turns each row word right, and C^-1 moves the rows down
@@ -160,8 +142,9 @@ def _plan(stages, last, n: int, cap: int, head: int = 0):
 def _run(P: AlgorithmSeq, first: int, x: np.ndarray | None, final_perm: bool) -> np.ndarray:
     """Stages n..first of P, then P_0 if ``final_perm``, on the rows of x.
 
-    On data x, ``_plan`` takes the inverses of P_n, ..., P_first from one
-    stack division, and last P_0^-1 or I.  ``x=None`` stands for the
+    On data x, ``_plan`` takes the inverses of P_n, ..., P_first from
+    ``reversed_inverted(P)``, and last P_0^-1 or I; x with no column is
+    returned as an empty copy.  ``x=None`` stands for the
     identity: the result E is int32, and the program of E^T (A = P_0 if
     ``final_perm`` else I, then P_first..P_(n-1), last P_n) starts each
     column panel in the rows of E it becomes, its first run written, and
@@ -169,7 +152,7 @@ def _run(P: AlgorithmSeq, first: int, x: np.ndarray | None, final_perm: bool) ->
     """
     n = P.n
     size = 1 << n
-    if first > n:  # no stage, and P_0 comes only with stage 1
+    if first > n or x is not None and not x.size:  # no stage (P_0 comes only with stage 1), or no column
         return np.eye(size, dtype=np.int32) if x is None else np.array(x)
     if x is None:
         words = P.stack.tolist()
@@ -177,9 +160,8 @@ def _run(P: AlgorithmSeq, first: int, x: np.ndarray | None, final_perm: bool) ->
         dtype, ncols = _working_dtype(n), size
         out = np.empty((size, size), dtype=np.int32)
     else:
-        ident = [1 << (n - 1 - r) for r in range(n)]
-        inv = _eliminate(P.stack, [ident] * (n + 1))[1].tolist()
-        stages, last = inv[n : first - 1 : -1], inv[0] if final_perm else ident
+        inv = reversed_inverted(P).stack.tolist()
+        stages, last = inv[: n + 1 - first], inv[n] if final_perm else [1 << (n - 1 - r) for r in range(n)]
         cols = x.reshape(size, x.size // size)
         dtype, ncols = cols.dtype, cols.shape[1]
         out = np.empty_like(cols)
@@ -275,7 +257,7 @@ def transform(P: AlgorithmSeq, x) -> np.ndarray:
 
 def evaluate(P: AlgorithmSeq) -> np.ndarray:
     """The full signed matrix computed by the stage sequence."""
-    _guard(P.n)
+    config._guard(P.n)
     return _run(P, 1, None, final_perm=True)
 
 
@@ -285,7 +267,7 @@ def evaluate_partial(P: AlgorithmSeq, k: int) -> np.ndarray:
     k ranges over 1..n+1; k = n+1 gives the identity.
     """
     n = P.n
-    _guard(n)
+    config._guard(n)
     if not 1 <= k <= n + 1:
         raise ValueError(f"stage index {k} outside 1..{n + 1}")
     return _run(P, k, None, final_perm=False)
@@ -311,7 +293,7 @@ def dependency_sets(P: AlgorithmSeq, k: int, i: int) -> DependencySets:
     n = P.n
     if not 0 <= i < 1 << n:
         raise ValueError(f"input index {i} outside 0..{(1 << n) - 1}")
-    _guard(n)
+    config._guard(n)
     if not 0 <= k <= n + 1:
         raise ValueError(f"stage index {k} outside 0..{n + 1}")
     e = np.zeros(1 << n, dtype=np.int32)

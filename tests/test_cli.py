@@ -419,8 +419,10 @@ def test_export_dot_stdout_and_file(capsys, tmp_path):
 def test_export_dot_guard(capsys, tmp_path):
     path = tmp_path / "big.alg"
     path.write_text(format_sequence(pease(7)) + "\n")
-    code, _, err = run_cli(capsys, "export-dot", str(path))
-    assert code == 2 and "error:" in err
+    code, out, err = run_cli(capsys, "export-dot", str(path))
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: {path}: ") and "WHT_MAX_N" in line
 
 
 def test_bench_small(capsys):

@@ -176,7 +176,8 @@ def test_apply_matches_entry_arithmetic(m, v):
     ],
 )
 def test_matmul_against_naive_across_vector_switch(rows, inner, cols, ones):
-    """``@`` runs one int loop at every size; shapes around 32 and 64 rows,
+    """``@`` packs its left factor in one int and runs ``_mul``, the product
+    ``oracle._plan`` runs too, at every size; shapes around 32 and 64 rows,
     inner dimensions and columns, and outputs wider than 64 columns, give
     the naive product."""
     rng = random.Random(rows * inner + cols)

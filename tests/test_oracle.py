@@ -241,15 +241,16 @@ def test_evaluations_match_naive_product(n, kind):
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
-@pytest.mark.parametrize("trailing", [(), (3,), (2, 5)])
+@pytest.mark.parametrize("trailing", [(), (3,), (2, 5), (0,), (2, 0)])
 def test_transform_matches_naive_product(dtype, trailing):
+    """Every trailing shape gives the naive product, also one with no column and so no panel to run."""
     rng = np.random.default_rng(len(trailing))
     for n in range(1, 7):
         for kind in _KINDS:
             P = _sequence(kind, n, 0)
             x = _integer_valued((1 << n,) + trailing, dtype, rng)
             got = transform(P, x)
-            want = (naive_evaluate(P) @ x.reshape(1 << n, -1)).reshape(x.shape)
+            want = (naive_evaluate(P) @ x.reshape(1 << n, x[0].size)).reshape(x.shape)
             assert got.dtype == x.dtype and got.shape == x.shape
             assert (got == want).all()
 

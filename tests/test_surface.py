@@ -1,5 +1,6 @@
 """The public surface: one declaration per name, nothing dead left over."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -8,7 +9,7 @@ import sys
 from pathlib import Path
 
 import linwht
-from linwht import algorithm, config, factory, gf2, groups, oracle
+from linwht import algorithm, config, factory, gf2, groups, membership, oracle
 from linwht.gf2 import BitMatrix
 
 # The package's exported names; changing the surface means changing this set.
@@ -72,7 +73,7 @@ def test_removed_helpers_are_gone():
         algorithm.AlgorithmSeq: ("__len__",),
         factory: ("_unbordered", "_shift_rows", "_bordered"),
         linwht: ("seq_product",),
-        oracle: ("apply_linear_perm", "apply_butterfly_array", "SignedMatrix"),
+        oracle: ("apply_linear_perm", "apply_butterfly_array", "SignedMatrix", "_mul", "_guard"),
     }
     for owner, names in removed.items():
         for name in names:
@@ -80,6 +81,26 @@ def test_removed_helpers_are_gone():
     assert "n_max" not in {f.name for f in config.Limits.__dataclass_fields__.values()}
     for fn in (factory.enumerate_members, factory.enumerate_bit_index_members):
         assert list(inspect.signature(fn).parameters) == ["n"]
+
+
+def _imported_modules(module) -> set[str]:
+    """The modules, by absolute name, that ``module``'s source imports from."""
+    tree = ast.parse(Path(module.__file__).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = importlib.util.resolve_name("." * node.level + (node.module or ""), "linwht")
+            found |= {base} if node.module else {f"{base}.{a.name}" for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name for a in node.names}
+    return found
+
+
+def test_oracle_and_membership_stay_apart():
+    """The dense oracle is the ground truth the structural check answers to:
+    neither module imports anything from the other."""
+    assert "linwht.oracle" not in _imported_modules(membership)
+    assert "linwht.membership" not in _imported_modules(oracle)
 
 
 def test_bitmatrix_methods_are_pinned():
