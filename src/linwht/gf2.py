@@ -12,21 +12,24 @@ Each kernel has a one-matrix shape and a stack shape.  One system runs
 in one int (``rank``, ``_solve``), row i in the bit slot [i*w, (i+1)*w),
 so one carry-free ``big ^= (sel ^ pivot) * pivot_row`` clears a pivot's
 column from every other row; ``_solve`` does so on the rows of [a | b],
-leaving a^-1 * b (``inverse``, the oracle's n divisions); ``rank`` keeps
-its own loop, faster as it stops once every row is a pivot.  A stack of N
-systems of one size, as uint64 row words, runs one numpy loop over the n
-pivot columns (``_eliminate``).  Without b it is the rank loop (the checks
-of given or parsed stages and of factors, ``sample_member``'s candidates):
-with columns < c cleared, a matrix's largest row has column c iff any row
-has, so on the stack transposed a column is a max, then a XOR and a minimum
-that set each row to min(row, row ^ pivot).  With b it is the Gauss-Jordan
-loop (``build``'s divisions, ``reversed_inverted``).  ``_mul`` multiplies
-a matrix packed in one int the same way by row words, one carry-free
-``out ^= column_k * row_k`` per row of the right factor (``@``, packed in
-slots as wide as its wider operand, and ``oracle._plan``'s word
-products); ``_mul_bits`` is one BLAS product over a 0/1 stack (the prefix
-chain, every P_0 of ``build``, ``factorize``'s n products, kept as n
-calls: one GEMM measured slower).
+leaving a^-1 * b (``inverse``: the structural pass's X^-1, ``_plan``'s one
+division); ``rank`` keeps its own loop, faster as it stops once every row
+is a pivot.  A stack of N systems of one size, as uint64 row words, runs
+one numpy loop over the n pivot columns (``_eliminate``).  While a row of
+[a | b] fits one word it is the max/min loop (every rank: the checks of
+given or parsed stages and of factors, ``sample_member``'s candidates; the
+divisions of ``build``, ``sample_member`` and ``reversed_inverted`` up to
+n = 32): with columns < c cleared, a matrix's largest row has column c iff
+any row has, so on the stack transposed a column is a max, then a XOR and
+a minimum that set each row to min(row, row ^ pivot), the pivots found so
+far too when dividing, which leaves [e_c | row c of a^-1 * b] in pivot
+slot c.  Wider divisions (square ones from n = 33) take the argmin
+Gauss-Jordan loop.  ``_mul`` multiplies a matrix packed in one int the
+same way by row words, one carry-free ``out ^= column_k * row_k`` per
+row of the right factor (``@``, packed in slots as wide as its wider
+operand, and ``oracle._plan``'s word products); ``_mul_bits`` is one
+BLAS product over a 0/1 stack (the prefix chain, every P_0 of ``build``,
+``factorize``'s n products, kept as n calls: one GEMM measured slower).
 
 Everything here is immutable and every operation returns a new value,
 so instances can be shared freely across threads.
@@ -117,16 +120,24 @@ def _solve(rows: Sequence[int], m: int) -> tuple[int, ...]:
 
 
 def _eliminate(a, b=None):
-    """Ranks of the N n x n matrices (n <= 64) in row words a, (N, n), and a_i^-1 * b_i if full."""
+    """Ranks of the N n x n matrices (n <= 64) in row words a, (N, n), and a_i^-1 * b_i if full,
+    with b (N, n) row words as wide as its widest, w bits: on the max/min loop while n + w <= 64
+    (always without b), else on the argmin loop."""
     a = np.asarray(a, np.uint64)
     N, n = a.shape
-    if b is None:  # row r of every matrix in one run; once columns < c are cleared, rows are < 2^(n-c)
-        rows, tmp, pivots = a.T.copy(), np.empty((n, N), np.uint64), np.empty((n, N), np.uint64)
-        for c in range(n):
-            piv = rows.max(axis=0, out=pivots[c])  # holds column c iff any row does ...
-            piv *= piv >> np.uint64(n - 1 - c)  # ... else 0
-            np.minimum(rows, np.bitwise_xor(rows, piv, out=tmp), out=rows)  # clears c; the pivot drops to 0
-        return np.count_nonzero(pivots, axis=0), None
+    w = 0 if b is None else int(np.max(b := np.asarray(b, np.uint64), initial=0)).bit_length()
+    if n + w <= 64:  # row r of every [a | b] in one run, then n pivot slots, each written before read
+        rows, d = np.empty((2 * n, N), np.uint64), b is not None
+        tmp = np.empty((n + n * d, N), np.uint64)  # ranks alone need no scratch for the pivots
+        live = rows[:n]
+        live[...] = (a << np.uint64(w) | b).T if d else a.T
+        for c, s in enumerate(np.arange(n + w - 1, w - 1, -1, dtype=np.uint64)):  # rows < 2^(s+1)
+            piv = live.max(axis=0, out=rows[n + c])  # holds column c iff any row does ...
+            piv *= piv >> s  # ... else 0
+            part, out = (rows[: n + c], tmp[: n + c]) if d else (live, tmp)  # dividing, pivots too
+            np.minimum(part, np.bitwise_xor(part, piv, out=out), out=part)  # clears c; the pivot drops to 0
+        x = (rows[n:] & np.uint64((1 << w) - 1)).T.copy() if d else None  # slot c: [e_c | row c of x]
+        return np.count_nonzero(rows[n:], axis=0), x
     a = (a << np.uint64(64 - n)).view(np.int64)  # each step shifts the next column into the sign bit
     at = np.arange(N) * n
     parts = [a, np.array(b, np.uint64).view(np.int64)]

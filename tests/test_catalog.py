@@ -70,6 +70,8 @@ def test_pease_transpose_is_reversed_inverse():
 @given(st.integers(1, 64), st.integers(0, 2**32 - 1))
 @example(1, 0)
 @example(2, 1)
+@example(32, 3)  # the last n whose divisions by the identity run on the max/min loop
+@example(33, 4)
 @example(64, 2)
 def test_reversed_inverted_against_naive(n, seed):
     """Stage k of the result is the naive inverse of stage n - k, and the map is an involution."""

@@ -434,6 +434,14 @@ def test_bench_small(capsys):
     assert lines[2].startswith("oracle refused n=15")
 
 
+@pytest.mark.parametrize("limit", ["abc", "0", "-3"])
+def test_bench_bad_limit_exits_2_before_any_output(capsys, monkeypatch, limit):
+    monkeypatch.setenv("WHT_MAX_N", limit)
+    code, out, err = run_cli(capsys, "bench", "--sizes", "3", "--repeat", "1")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: WHT_MAX_N must be ")
+
+
 def test_bench_construction_lines(capsys):
     """After the check and oracle lines, one line per size with the min of
     --repeat runs of sample_member, build, factorize, format_document and

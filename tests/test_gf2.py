@@ -334,6 +334,16 @@ def _singular_stack(n):
     return n, n, [[0] * n, repeated, dependent], [_seeded(n, n, s).words for s in range(3)]
 
 
+def _boundary_stack(n, width):
+    """A case of ``stacks`` with an invertible member and one with a repeated row (zero at
+    n = 1), whose right parts are exactly ``width`` bits wide: the max/min loop divides while
+    n + width <= 64 and the argmin loop past that."""
+    words = list(random_invertible(n, random.Random(n + width)).words)
+    singular = words[:-1] + words[:1] if n > 1 else [0]
+    right = [[(1 << (width - 1)) | w for w in _seeded(n, width, s).words] for s in range(2)]
+    return n, width, [words, singular], right
+
+
 @settings(max_examples=40, deadline=None)
 @given(stacks())
 @example((64, 64, [[(1 << 64) - 1 - (1 << r) for r in range(64)], list(_seeded(64, 64, 10).words),
@@ -342,7 +352,16 @@ def _singular_stack(n):
 @example((1, 1, [[0], [1]], [(1,), (1,)]))
 @example(_singular_stack(1))
 @example(_singular_stack(2))
+@example(_singular_stack(32))
+@example(_singular_stack(33))
 @example(_singular_stack(63))
+@example(_boundary_stack(32, 32))
+@example(_boundary_stack(32, 33))
+@example(_boundary_stack(33, 31))
+@example(_boundary_stack(1, 63))
+@example(_boundary_stack(63, 1))
+@example(_boundary_stack(1, 64))
+@example(_boundary_stack(64, 1))
 @example(_singular_stack(64))
 @example((64, 5, [list(random_invertible(64, random.Random(5)).words)], [_seeded(64, 5, 6).words]))
 @example((5, 3, [], []))  # an empty stack
