@@ -9,12 +9,12 @@ integers they encode: the packed form of the binary digits of ``i``
 ``(0, ..., 0, 1)`` is the integer ``1``.
 
 Each kernel has a one-matrix shape and a stack shape.  One system runs
-in one int (``rank``, ``_solve``), row i in the bit slot [i*w, (i+1)*w),
-so one carry-free ``big ^= (sel ^ pivot) * pivot_row`` clears a pivot's
-column from every other row; ``_solve`` does so on the rows of [a | b],
-leaving a^-1 * b (``inverse``: the structural pass's X^-1, ``_plan``'s one
-division); ``rank`` keeps its own loop, faster as it stops once every row
-is a pivot.  A stack of N systems of one size, as uint64 row words, runs
+in one int on one Gauss-Jordan loop (``_reduce``), row i in the bit slot
+[i*w, (i+1)*w): one carry-free ``big ^= (sel ^ pivot) * pivot_row``
+clears a pivot's column from every other row.  ``rank`` counts its
+pivots, and ``_solve`` runs it on the rows of [a | b], leaving a^-1 * b
+(``inverse``: the structural pass's X^-1, ``_plan``'s one division).  A
+stack of N systems of one size, as uint64 row words, runs
 one numpy loop over the n pivot columns (``_eliminate``).  While a row of
 [a | b] fits one word it is the max/min loop (every rank: the checks of
 given or parsed stages and of factors, ``sample_member``'s candidates; the
@@ -95,24 +95,30 @@ def _mul(a: int, b: Sequence[int], every: int) -> int:
     return out
 
 
-def _solve(rows: Sequence[int], m: int) -> tuple[int, ...]:
-    """Row words of a^-1 * b, from the n row words of [a | b] with a n x n,
-    n >= 1, and b n x m; raises SingularError with the rank of a on failure."""
-    n = len(rows)
-    s = n + m
-    big = _pack(rows, s)
-    live = every = _slot_ones(n, s)
-    mask = (1 << s) - 1
+def _reduce(rows: Sequence[int], width: int, m: int = 0) -> tuple[int, list[int]]:
+    """Gauss-Jordan on the row words of ``width`` >= 1 bits, over their columns above the
+    low m bits: the reduced rows packed as ``_pack`` packs them, and each pivot row's slot
+    bit, in column order."""
+    big = _pack(rows, width)
+    live = every = _slot_ones(len(rows), width)
+    mask = (1 << width) - 1
     pivots = []
-    for b in range(s - 1, m - 1, -1):
+    for b in range(width - 1, m - 1, -1):
         sel = (big >> b) & every
-        cand = sel & live
-        if cand:
+        if cand := sel & live:
             at = cand.bit_length() - 1
             pivot = 1 << at
             big ^= (sel ^ pivot) * ((big >> at) & mask)
             live ^= pivot
             pivots.append(at)
+    return big, pivots
+
+
+def _solve(rows: Sequence[int], m: int) -> tuple[int, ...]:
+    """Row words of a^-1 * b, from the n row words of [a | b] with a n x n,
+    n >= 1, and b n x m; raises SingularError with the rank of a on failure."""
+    n = len(rows)
+    big, pivots = _reduce(rows, n + m, m)
     if (r := len(pivots)) < n:
         raise SingularError(f"matrix of rank {r} < {n} is singular", r)
     right = (1 << m) - 1
@@ -210,24 +216,7 @@ class BitMatrix:
         return out
 
     def rank(self) -> int:
-        if not self.rows or not self.cols:
-            return 0
-        w = self.cols
-        big = _pack(self.words, w)
-        live = _slot_ones(self.rows, w)
-        mask = (1 << w) - 1
-        r = 0
-        for b in range(w - 1, -1, -1):
-            sel = (big >> b) & live
-            if sel:
-                at = sel.bit_length() - 1
-                pivot = 1 << at
-                big ^= (sel ^ pivot) * ((big >> at) & mask)
-                live ^= pivot
-                r += 1
-                if not live:
-                    break
-        return r
+        return len(_reduce(self.words, self.cols)[1]) if self.rows and self.cols else 0
 
     def inverse(self) -> "BitMatrix":
         """Gauss-Jordan inverse; raises SingularError with the rank on failure."""

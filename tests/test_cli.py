@@ -1,3 +1,4 @@
+import contextlib
 import io
 import os
 import random
@@ -7,8 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linwht import count_algorithms, count_algorithms_simplified, count_bit_index_algorithms, pease
+from linwht.catalog import CATALOG
 from linwht.cli import main
 from linwht.textio import format_sequence, parse_document, parse_factors, parse_sequence
 
@@ -493,3 +497,110 @@ def test_console_script_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("PASS fast")
+
+
+# -- the contract as a property: generated input never raises, and a refusal is one line ------
+
+_EDIT_CHARS = "01/ \n#n=[]"
+_SIZES = ("-1", "0", "1", "2", "3", "4", "5", "6", "7", "63", "64", "65")
+
+
+@st.composite
+def _mutated_fixture(draw):
+    """A fixture's bytes after a few bit flips, replacements, deletions and insertions."""
+    data = bytearray((FIXTURES / draw(st.sampled_from(sorted(os.listdir(FIXTURES))))).read_bytes())
+    for _ in range(draw(st.integers(0, 4))):
+        op, at = draw(st.sampled_from(("flip", "replace", "delete", "insert"))), draw(st.integers(0, len(data)))
+        if op == "insert":
+            data[at:at] = draw(st.sampled_from(_EDIT_CHARS)).encode()
+        elif at < len(data) and op == "delete":
+            del data[at]
+        elif at < len(data) and op == "replace":
+            data[at] = ord(draw(st.sampled_from(_EDIT_CHARS)))
+        elif at < len(data):
+            data[at] ^= 1 << draw(st.integers(0, 7))
+    return bytes(data)
+
+
+def _file_argv():
+    """A subcommand that reads a file, given the written input, stdin, a directory or no file."""
+    command = st.sampled_from(
+        (("check",), ("check", "--fast"), ("check", "--oracle"), ("check", "--corners"),
+         ("factorize",), ("build",), ("export-dot",))
+    )
+    source = st.sampled_from(("{input}", "{input}", "-", "{dir}", "{missing}"))
+    return st.tuples(command, source, st.sampled_from(((), ("{fixture}",), ("-",)))).map(
+        lambda t: t[0] + (t[1],) + (t[2] if t[0][0] == "check" else ())
+    ) | st.tuples(source, st.sampled_from(("{out}", "{dir}", "{dir}/absent/g.dot"))).map(
+        lambda t: ("export-dot", t[0], "-o", t[1])
+    )
+
+
+def _size_argv():
+    """Every other subcommand, at and past its size bounds.  Enumerations stay cheap: the full
+    n=3 and bit-index n=4 lists run only as explicit examples, and nothing verifies at n=3."""
+    n = st.sampled_from(_SIZES)
+    small = st.sampled_from(("-1", "0", "1", "2", "5", "65"))
+    return st.one_of(
+        small.map(lambda v: ("count", "-n", v)),
+        st.tuples(st.sampled_from(("-1", "0", "1", "2", "4")), st.booleans(), st.booleans(), st.booleans()).map(
+            lambda t: ("enumerate", "-n", t[0]) + ("--dedupe",) * t[1] + ("--format", "table") * t[2]
+            + ("--verify-oracle",) * t[3]
+        ),
+        st.tuples(st.sampled_from(("-1", "0", "1", "2", "3", "5")), st.booleans(), st.booleans()).map(
+            lambda t: ("enumerate", "--bit-index", "-n", t[0]) + ("--dedupe",) * t[1]
+            + ("--verify-oracle",) * (t[2] and t[0] != "3")
+        ),
+        st.tuples(n, st.sampled_from(((), ("--seed", "0"), ("--seed", "-1"), ("--seed", str(1 << 70))))).map(
+            lambda t: ("sample", "-n", t[0]) + t[1]
+        ),
+        st.tuples(st.sampled_from(sorted(CATALOG)), n, st.booleans()).map(
+            lambda t: ("catalog", t[0], "-n", t[1]) + ("--sequency",) * t[2]
+        ),
+        st.tuples(
+            st.sampled_from(("", ",", "0", "1", "3,", " 3", "1,,2", "64", "65", "-1", "abc", "3,65")),
+            st.sampled_from(("1", "1", "-1", "0", "1001")),
+        ).map(lambda t: ("bench", "--sizes", t[0], "--repeat", t[1])),
+    )
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    (root / "a_dir").mkdir()
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    argv=st.booleans().flatmap(lambda files: _file_argv() if files else _size_argv()),
+    data=_mutated_fixture(),
+    limit=st.sampled_from((None, "0", "-3", "abc", "2", "14")),
+)
+@example(argv=("enumerate", "-n", "3"), data=b"", limit=None)
+@example(argv=("enumerate", "--bit-index", "-n", "4"), data=b"", limit="2")
+@example(argv=("count", "-n", "64"), data=b"", limit=None)
+@example(argv=("bench", "--sizes", "3", "--repeat", "1"), data=b"", limit="abc")
+@example(argv=("check", "--oracle", "{fixture}", "{input}"), data=b"n=1; 1; 1\n", limit="abc")
+def test_cli_contract_on_generated_input(contract_dir, argv, data, limit):
+    """Any argv that argparse accepts (its usage errors print a usage line first), over mutated
+    files, stdin and bad paths, under any WHT_MAX_N: ``main`` returns 0, 1 or 2 without raising,
+    success writes nothing to stderr, and a refusal prints nothing on stdout and one ``error:`` line."""
+    (contract_dir / "input").write_bytes(data)
+    paths = {"input": contract_dir / "input", "dir": contract_dir / "a_dir", "out": contract_dir / "out.dot",
+             "missing": contract_dir / "missing.alg", "fixture": FIXTURES / "pease2.alg"}
+    argv = [a.format(**paths) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        mp.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        if limit is None:
+            mp.delenv("WHT_MAX_N", raising=False)
+        else:
+            mp.setenv("WHT_MAX_N", limit)
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 0:
+        assert err.getvalue() == "", argv
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error:"), (argv, err.getvalue())

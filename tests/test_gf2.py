@@ -405,6 +405,14 @@ def test_packed_elimination_edge_rows(n):
     assert upper.inverse().words == bidiagonal
 
 
+def test_zero_size_rank_and_inverse():
+    """The one-int loop needs a row width of at least one bit, so the empty shapes never reach it."""
+    assert BitMatrix(0, 5, ()).rank() == 0
+    assert BitMatrix(5, 0, (0,) * 5).rank() == 0
+    assert BitMatrix(0, 0, ()).rank() == 0
+    assert BitMatrix(0, 0, ()).inverse() == BitMatrix(0, 0, ())
+
+
 def test_rotation_rotates_bits():
     c = rotation_matrix(4)
     for i in range(16):
