@@ -205,8 +205,13 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # subparsers inherit it, so ``main`` prints every usage error as one line
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wht",
         description="Construct, verify and export fast Walsh-Hadamard transform algorithms.",
     )
@@ -265,15 +270,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)  # -h prints help and exits 0
         if "n" in vars(args):
             _check_size(args.n)
         return args.func(args)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except NotMemberError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

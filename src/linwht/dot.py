@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from .algorithm import AlgorithmSeq
 from .config import _guard
+from .oracle import perm_indices
 
 __all__ = ["export_dot"]
 
@@ -24,7 +25,7 @@ def export_dot(P: AlgorithmSeq) -> str:
     Guarded by the export size limit (override via WHT_MAX_N).
     """
     _guard(P.n, export=True)
-    n, stages = P.n, P.matrices  # each P[k] makes its BitMatrix anew
+    n, tables = P.n, perm_indices(P.stack, P.n).tolist()  # row k holds P_k * i at column i
     size = 1 << n
     lines = ["digraph wht {", "  rankdir=LR;"]
     for i in range(size):
@@ -34,18 +35,15 @@ def export_dot(P: AlgorithmSeq) -> str:
             lines.append(f'  s{k}b{b} [shape=box, label="F2"];')
     for j in range(size):
         lines.append(f'  out{j} [shape=plaintext, label="y{j}"];')
-    for i in range(size):
-        q = stages[n].apply(i)
+    for i, q in enumerate(tables[n]):
         lines.append(f'  in{i} -> s{n}b{q >> 1} [headlabel="{q & 1}"];')
     for k in range(n - 1, 0, -1):
-        for p in range(size):
-            q = stages[k].apply(p)
+        for p, q in enumerate(tables[k]):
             lines.append(
                 f'  s{k + 1}b{p >> 1} -> s{k}b{q >> 1} '
                 f'[taillabel="{p & 1}", headlabel="{q & 1}"];'
             )
-    for p in range(size):
-        q = stages[0].apply(p)
+    for p, q in enumerate(tables[0]):
         lines.append(f'  s1b{p >> 1} -> out{q} [taillabel="{p & 1}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -151,9 +151,8 @@ def factorize(P: AlgorithmSeq) -> FactorTuple:
     if not report.passed:
         raise NotMemberError(report.witness or "sequence fails the membership conditions")
     n = P.n
-    m = _to_bits(b_inv.words, n)
     at = np.arange(n)
-    d = np.stack([_mul_bits(m, p) for p in prefix[:-1]])
+    d = np.stack([_mul_bits(b_inv, p) for p in prefix[:-1]])
     # stage i, row r of C^{-i} * D is row r - i of D, cyclically
     d = d[at[:, None], (at - at[:, None]) % n]
     e = at == n - 1
@@ -174,11 +173,10 @@ def sample_member(n: int, seed: Optional[int] = None) -> AlgorithmSeq:
 def _members(
     n: int, outer: Callable[[int], Iterator[BitMatrix]], bound: int, what: str
 ) -> Iterator[AlgorithmSeq]:
-    if not 1 <= n <= bound:
+    if not 1 <= n <= bound:  # refused at the call, before the generator is returned
         raise ValueError(f"{what} supported for 1 <= n <= {bound}")
     inner = [q.words for q in outer(n - 1)]
-    for b in outer(n):
-        yield from _built(b.words, list(itertools.product(inner, repeat=n)))
+    return (P for b in outer(n) for P in _built(b.words, list(itertools.product(inner, repeat=n))))
 
 
 def enumerate_members(n: int) -> Iterator[AlgorithmSeq]:

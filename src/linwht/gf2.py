@@ -208,13 +208,6 @@ class BitMatrix:
         words = [int(text[c::step] or "0", 2) for c in range(self.cols)]  # "" when rows == 0
         return BitMatrix(self.cols, self.rows, tuple(words))
 
-    def apply(self, v: int) -> int:
-        """Matrix times packed column vector."""
-        out = 0
-        for w in self.words:
-            out = (out << 1) | ((w & v).bit_count() & 1)
-        return out
-
     def rank(self) -> int:
         return len(_reduce(self.words, self.cols)[1]) if self.rows and self.cols else 0
 

@@ -63,8 +63,7 @@ def enumerate_perm(n: int) -> Iterator[BitMatrix]:
     n=0 yields the empty matrix."""
     if n < 0:
         raise ValueError("enumerate_perm needs n >= 0")
-    for per in itertools.permutations(range(n)):
-        yield BitMatrix(n, n, tuple(1 << (n - 1 - per[r]) for r in range(n)))
+    return (BitMatrix(n, n, tuple(1 << (n - 1 - p) for p in per)) for per in itertools.permutations(range(n)))
 
 
 def random_invertible(n: int, rng: random.Random) -> BitMatrix:

@@ -18,7 +18,7 @@ matrices only, never on 2^n-sized objects.
 
 One structural pass, ``_structure``, runs on the stages unpacked into
 one 0/1 stack; every reader here, ``factorize`` and the CLI's table rows
-use it, packing only the matrix they apply or print.  The paper's corner
+use it, packing only the matrix they print or invert.  The paper's corner
 condition is the inverse condition read as M * X = I, where M stacks the
 claimed rows of X^{-1} (see ``check_corner_condition``); M and M * X are
 formed on the stack, and only to name a set corner.
@@ -34,7 +34,7 @@ import numpy as np
 
 from .algorithm import AlgorithmSeq, _sequence
 from .config import N_MAX, _guard
-from .gf2 import BitMatrix, DimensionError, SingularError, _mul_bits, _packed, _to_bits, parity
+from .gf2 import BitMatrix, DimensionError, SingularError, _mul_bits, _packed, _to_bits, _words, parity
 from .groups import random_invertible
 
 __all__ = [
@@ -100,12 +100,12 @@ def _first_set_row(diff: np.ndarray) -> Optional[int]:
     return next((r for r, bad in enumerate(diff.any(axis=1).tolist(), 1) if bad), None)
 
 
-def _structure(P: AlgorithmSeq) -> tuple[CheckReport, np.ndarray, BitMatrix, Optional[BitMatrix]]:
-    """The report, the prefix products P_{0:0..n} as an (n+1, n, n) 0/1 stack, X
-    and X^{-1} (None if X is singular).  Products are ``_mul_bits``; the inverse
-    condition's n row products are one uint8 einsum, exact as no sum exceeds 64.
-    Only X is packed, for one ``inverse``: most passes check members, whose X is
-    invertible, so a singular X's rank comes from the ``SingularError``."""
+def _structure(P: AlgorithmSeq) -> tuple[CheckReport, np.ndarray, BitMatrix, Optional[np.ndarray]]:
+    """The report, the prefix products P_{0:0..n} as an (n+1, n, n) 0/1 stack, X and
+    X^{-1} as an (n, n) 0/1 array (None if X is singular).  Products are ``_mul_bits``;
+    the inverse condition's n row products are one uint8 einsum, exact as no sum
+    exceeds 64.  Only X is packed, for one ``inverse``: most passes check members, whose
+    X is invertible, so a singular X's rank comes from the ``SingularError``."""
     n = P.n
     prefix = _chain(_to_bits(P.stack, n))
     # row c of X^T is the last column of P_{0:n-1-c}
@@ -115,13 +115,13 @@ def _structure(P: AlgorithmSeq) -> tuple[CheckReport, np.ndarray, BitMatrix, Opt
 
     x_inv = bad_inverse = None
     try:
-        x_inv = x.inverse()
+        x_inv = _to_bits(x.inverse().words, n)
     except SingularError as exc:
         rank_x = exc.rank
     else:
         # row k of X^-1 is the bottom row of P_{0:n-k}^-1 exactly when
         # it times P_{0:n-k} is e^T
-        rows = np.einsum("kj,kjc->kc", _to_bits(x_inv.words, n), prefix[n - 1 :: -1]) & 1
+        rows = np.einsum("kj,kjc->kc", x_inv, prefix[n - 1 :: -1]) & 1
         bad_inverse = _first_set_row(rows != (np.arange(n) == n - 1))
     x_invertible = x_inv is not None
 
@@ -203,9 +203,10 @@ def predict_plus_set(P: AlgorithmSeq, i: int) -> frozenset[int]:
     Requires the corner condition, tested as the equivalent inverse
     condition; then the +1 rows of column i are exactly
     { j : <(X X^T)^{-1} P_{0:n} i, j> = 0 }, where (X X^T)^{-1} is
-    X^{-T} X^{-1}, from the structural pass's X^{-1}.  For i = 0 this is
-    every output index.  The set has up to 2^n entries, so n is bounded
-    like the dense oracle (``SizeLimitError`` above ``oracle_max_n``).
+    X^{-T} X^{-1}: three 0/1 products on the structural pass's arrays and
+    the bits of i.  For i = 0 this is every output index.  The set has up
+    to 2^n entries, so n is bounded like the dense oracle (``SizeLimitError``
+    above ``oracle_max_n``).
     """
     n = P.n
     if not 0 <= i < 1 << n:
@@ -214,7 +215,7 @@ def predict_plus_set(P: AlgorithmSeq, i: int) -> frozenset[int]:
     report, prefix, _, x_inv = _structure(P)
     if not report.cond_inverse:
         raise ConditionError("plus-set prediction needs the corner condition to hold")
-    u = x_inv.transpose().apply(x_inv.apply(_packed(prefix[n]).apply(i)))
+    u = int(_words(_mul_bits(x_inv.T, _mul_bits(x_inv, _mul_bits(prefix[n], _to_bits(i, n))))))
     return frozenset(j for j in range(1 << n) if parity(u & j) == 0)
 
 

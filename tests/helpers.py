@@ -59,6 +59,16 @@ def lists(m: BitMatrix) -> list[list[int]]:
     return [[(w >> (m.cols - 1 - j)) & 1 for j in range(m.cols)] for w in m.words]
 
 
+def naive_apply(q: BitMatrix, v: int) -> int:
+    """q*v for the index v read as a bit column (top bit first): bit r of the
+    result, from the top, is the parity of row r of q times those bits."""
+    bits = [(v >> (q.cols - 1 - c)) & 1 for c in range(q.cols)]
+    out = 0
+    for row in lists(q):
+        out = 2 * out + sum(a * b for a, b in zip(row, bits)) % 2
+    return out
+
+
 def naive_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     """Row i of a*b is the sum of the rows k of b with a[i][k] = 1, mod 2."""
     inner, cols = len(b), len(b[0]) if b else 0
@@ -215,7 +225,7 @@ def perm_matrix(q: BitMatrix) -> np.ndarray:
     size = 1 << q.rows
     m = np.zeros((size, size), dtype=np.int64)
     for i in range(size):
-        m[q.apply(i), i] = 1
+        m[naive_apply(q, i), i] = 1
     return m
 
 
@@ -249,7 +259,7 @@ def naive_transform(P: AlgorithmSeq, x: np.ndarray) -> np.ndarray:
     def moved(q: BitMatrix, y: np.ndarray) -> np.ndarray:
         dest = np.zeros_like(idx)
         for j in range(n):
-            dest ^= ((idx >> j) & 1) * q.apply(1 << j)
+            dest ^= ((idx >> j) & 1) * naive_apply(q, 1 << j)
         out = np.empty_like(y)
         out[dest] = y
         return out

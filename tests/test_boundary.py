@@ -18,13 +18,53 @@ from linwht import (
 )
 from linwht import membership
 from linwht.config import N_MAX
-from linwht.gf2 import BitMatrix, DimensionError, SingularError
-from linwht.groups import random_invertible
+from linwht.factory import enumerate_bit_index_members, enumerate_members
+from linwht.gf2 import BitMatrix, DimensionError, SingularError, rotation_matrix
+from linwht.groups import (
+    count_algorithms,
+    count_algorithms_simplified,
+    count_bit_index_algorithms,
+    count_gl,
+    enumerate_gl,
+    enumerate_perm,
+    random_invertible,
+)
 from linwht.textio import ParseError, parse_document, parse_factors, parse_sequence
 
 from helpers import lists, naive_rank, read_fixture
 
 HUGE_N = "n=" + "9" * 5000 + "; 1; 1"
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: pease(0), ValueError, "n must be >= 1, got 0"),
+        (lambda: iterative_ct(0), ValueError, "n must be >= 1, got 0"),
+        (lambda: BitMatrix(-1, 2, ()), DimensionError, "negative dimensions -1x2"),
+        (lambda: BitMatrix(2, 3, (0, 0)).inverse(), DimensionError, "cannot invert 2x3"),
+        (lambda: rotation_matrix(0), DimensionError, "rotation needs n >= 1"),
+        (lambda: enumerate_perm(-1), ValueError, "enumerate_perm needs n >= 0"),
+        (lambda: enumerate_gl(-1), ValueError, "enumerate_gl supports 0 <= n <= 5, got -1"),
+        (lambda: enumerate_members(9), ValueError, "full enumeration supported for 1 <= n <= 3"),
+        (lambda: enumerate_bit_index_members(9), ValueError, "bit-index enumeration supported for 1 <= n <= 4"),
+        (lambda: count_gl(-1), ValueError, "count_gl needs n >= 0"),
+        (lambda: count_algorithms(0), ValueError, "count_algorithms needs n >= 1"),
+        (lambda: count_algorithms_simplified(0), ValueError, "count_algorithms_simplified needs n >= 1"),
+        (lambda: count_bit_index_algorithms(0), ValueError, "count_bit_index_algorithms needs n >= 1"),
+    ],
+    ids=[
+        "pease", "iterative_ct", "bitmatrix_negative", "inverse_non_square", "rotation", "enumerate_perm",
+        "enumerate_gl", "enumerate_members", "enumerate_bit_index_members", "count_gl", "count_algorithms",
+        "count_algorithms_simplified", "count_bit_index_algorithms",
+    ],
+)
+def test_argument_checks_raise_at_the_call(call, error, message):
+    """Each bad argument is refused by the call itself, an enumeration included, before
+    any item is drawn: the exact exception type and message, with no iteration."""
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_algorithm_seq_rejects_n_above_contract(monkeypatch):

@@ -467,9 +467,17 @@ def test_bench_construction_lines(capsys):
 
 
 def test_usage_errors(capsys):
-    assert run_cli(capsys, "frobnicate")[0] == 2
-    assert run_cli(capsys, "count")[0] == 2
-    assert run_cli(capsys)[0] == 2
+    """argparse's refusals follow the CLI contract: exit 2, nothing on stdout, one ``error:`` line."""
+    for argv in [(), ("frobnicate",), ("count",), ("count", "-n", "3", "--bogus"), ("bench", "--repeat", "abc"),
+                 ("check", "--fast", "--oracle", "x"), ("catalog", "nope", "-n", "3")]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+
+
+def test_help_exits_0_on_stdout(capsys):
+    code, out, err = run_cli(capsys, "-h")
+    assert (code, err) == (0, "") and out.startswith("usage: wht")
 
 
 def test_closed_stdout_exits_141_quietly():
@@ -536,6 +544,16 @@ def _file_argv():
     )
 
 
+def _usage_argv():
+    """Argv that argparse refuses: any other argv with an unknown option, or a missing, unknown,
+    badly typed or conflicting subcommand, option or choice."""
+    return (_file_argv() | _size_argv()).map(lambda a: a + ("--bogus",)) | st.sampled_from(
+        ((), ("frobnicate",), ("count",), ("count", "-n"), ("sample", "-n", "x"), ("bench", "--repeat", "abc"),
+         ("check",), ("check", "--fast", "--oracle", "{input}"), ("catalog", "nope", "-n", "3"),
+         ("export-dot", "{input}", "-o"))
+    )
+
+
 def _size_argv():
     """Every other subcommand, at and past its size bounds.  Enumerations stay cheap: the full
     n=3 and bit-index n=4 lists run only as explicit examples, and nothing verifies at n=3."""
@@ -573,7 +591,7 @@ def contract_dir(tmp_path_factory):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    argv=st.booleans().flatmap(lambda files: _file_argv() if files else _size_argv()),
+    argv=st.one_of(_file_argv(), _size_argv(), _usage_argv()),
     data=_mutated_fixture(),
     limit=st.sampled_from((None, "0", "-3", "abc", "2", "14")),
 )
@@ -583,9 +601,9 @@ def contract_dir(tmp_path_factory):
 @example(argv=("bench", "--sizes", "3", "--repeat", "1"), data=b"", limit="abc")
 @example(argv=("check", "--oracle", "{fixture}", "{input}"), data=b"n=1; 1; 1\n", limit="abc")
 def test_cli_contract_on_generated_input(contract_dir, argv, data, limit):
-    """Any argv that argparse accepts (its usage errors print a usage line first), over mutated
-    files, stdin and bad paths, under any WHT_MAX_N: ``main`` returns 0, 1 or 2 without raising,
-    success writes nothing to stderr, and a refusal prints nothing on stdout and one ``error:`` line."""
+    """Any argv, over mutated files, stdin and bad paths, under any WHT_MAX_N: ``main`` returns
+    0, 1 or 2 without raising, success writes nothing to stderr, and a refusal, argparse's usage
+    errors included, prints nothing on stdout and one ``error:`` line."""
     (contract_dir / "input").write_bytes(data)
     paths = {"input": contract_dir / "input", "dir": contract_dir / "a_dir", "out": contract_dir / "out.dot",
              "missing": contract_dir / "missing.alg", "fixture": FIXTURES / "pease2.alg"}

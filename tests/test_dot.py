@@ -1,11 +1,13 @@
+import random
 import re
 
 import pytest
 
-from linwht import SizeLimitError, enumerate_members, export_dot, iterative_ct, pease
+from linwht import SizeLimitError, enumerate_members, export_dot, is_member, iterative_ct, pease, sample_member
+from linwht.catalog import CATALOG
 from linwht.textio import parse_sequence
 
-from helpers import bit_reverse
+from helpers import bit_reverse, naive_apply, random_sequence
 
 
 N1_EXPECTED = """digraph wht {
@@ -92,3 +94,34 @@ def test_export_guard_env_override(monkeypatch):
     with pytest.raises(SizeLimitError):
         export_dot(pease(3))
     assert export_dot(pease(2)).startswith("digraph wht {")
+
+
+def naive_dot(P) -> str:
+    """The export written edge by edge: wire p of stage k, from the input (k = n) or a butterfly
+    port, goes to port or output ``naive_apply(P[k], p)``."""
+    n, size = P.n, 1 << P.n
+    lines = ["digraph wht {", "  rankdir=LR;"]
+    lines += [f'  in{i} [shape=plaintext, label="x{i}"];' for i in range(size)]
+    lines += [f'  s{k}b{b} [shape=box, label="F2"];' for k in range(n, 0, -1) for b in range(size // 2)]
+    lines += [f'  out{j} [shape=plaintext, label="y{j}"];' for j in range(size)]
+    for k in range(n, -1, -1):
+        for p in range(size):
+            q = naive_apply(P[k], p)
+            tail, tail_port = (f"in{p}", []) if k == n else (f"s{k + 1}b{p >> 1}", [f'taillabel="{p & 1}"'])
+            head, head_port = (f"out{q}", []) if k == 0 else (f"s{k}b{q >> 1}", [f'headlabel="{q & 1}"'])
+            lines.append(f"  {tail} -> {head} [{', '.join(tail_port + head_port)}];")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_export_matches_naive_rendering(n):
+    """Members, the catalog and random non-members export exactly the naive rendering."""
+    rng = random.Random(n)
+    seqs = [sample_member(n, rng.randrange(1 << 30)) for _ in range(3)]
+    seqs += [make(n) for make in CATALOG.values()]
+    seqs += [random_sequence(n, rng) for _ in range(3)]
+    assert n == 1 or not all(is_member(P) for P in seqs[-3:])
+    for P in seqs:
+        got, want = export_dot(P), naive_dot(P)
+        assert got.splitlines() == want.splitlines(), P.key()
+        assert got == want

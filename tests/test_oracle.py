@@ -40,6 +40,7 @@ from helpers import (
     SubtractFailsInWorkers,
     forced_singular_sequence,
     kron_hadamard,
+    naive_apply,
     naive_evaluate,
     naive_transform,
     perm_matrix,
@@ -86,7 +87,7 @@ def test_perm_indices_matches_apply(n, count, seed):
     idx = perm_indices([q.words for q in qs], n)
     assert idx.shape == (count, 1 << n) and idx.dtype == np.intp
     for q, row in zip(qs, idx):
-        assert row.tolist() == [q.apply(i) for i in range(1 << n)]
+        assert row.tolist() == [naive_apply(q, i) for i in range(1 << n)]
 
 
 @settings(max_examples=30)
@@ -619,10 +620,10 @@ def _checked_plan(stages, last, n: int, cap: int, head: int = 0) -> list[int]:
         s = [mats[t]]
         for d in mats[t + 1 : t + r + 1]:
             s.append(s[-1] @ d)
-        v = [p.apply(1) for p in s]  # the pair directions S_j e ...
+        v = [naive_apply(p, 1) for p in s]  # the pair directions S_j e ...
         w = [p.inverse().words[n - 1] for p in s]  # ... and first-functionals e^T S_j^-1
         for j in range(r):
-            assert f.apply(1 << (n - 1 - j)) == v[j] and f_inv.words[j] == w[j], (i, j)
+            assert naive_apply(f, 1 << (n - 1 - j)) == v[j] and f_inv.words[j] == w[j], (i, j)
         e, t = s[r - 1].inverse() @ f, t + r
     assert list(maps[-1]) == list((e.inverse() @ BitMatrix(n, n, tuple(last))).words)
     return runs
