@@ -23,39 +23,38 @@ from .gf2 import BitMatrix, DimensionError, SingularError, _eliminate, _to_bits,
 __all__ = ["AlgorithmSeq", "reversed_inverted"]
 
 
-def _check(mats: Sequence[BitMatrix], n: int, what: str, start: int = 0, rank: bool = True) -> np.ndarray:
-    """The row words of ``mats``, (len(mats), n) uint64, once every one is n x n (n <= 64), then
-    ``_proved`` if ``rank``; ``what.format(start + i)`` names matrix i in the error."""
+def _check(mats: Sequence[BitMatrix], n: int, what: str, start: int = 0) -> np.ndarray:
+    """The row words of ``mats``, (len(mats), n) uint64, once every one is n x n (n <= 64)
+    and ``_proved``; ``what.format(start + i)`` names matrix i in the error."""
     for i, m in enumerate(mats):
         if m.rows != n or m.cols != n:
             raise DimensionError(f"{what.format(start + i)} is {m.rows}x{m.cols}, expected {n}x{n}")
-    words = np.array([m.words for m in mats], np.uint64)
-    return _proved(words, what, start) if rank else words
+    return _proved(np.array([m.words for m in mats], np.uint64), what, start)
 
 
 def _proved(words: np.ndarray, what: str, start: int = 0) -> np.ndarray:
-    """``words``, (N, n) uint64, made read-only once every matrix is invertible, all ranked
-    in one stack elimination; else an error for the first rank below n."""
+    """``words``, (N, n) uint64, once every matrix is invertible, all ranked in one stack
+    elimination; else an error for the first rank below n.  The one rank check of outside input."""
     for i, rank in enumerate(_eliminate(words)[0].tolist()):
         if rank != words.shape[1]:
             raise SingularError(f"{what.format(start + i)} is singular", rank)
-    words.flags.writeable = False
     return words
 
 
-def _trusted(cls, **fields):
-    """A ``cls`` made without its ``__post_init__`` check, for values whose
-    maker has already proved them: a product of invertible matrices is one."""
+def _trusted(cls, **words):
+    """A ``cls`` whose fields are ``words`` as read-only uint64 arrays, made without its
+    ``__post_init__`` check, for values already proved: by ``_proved``, or by their maker,
+    as a product of invertible matrices is invertible."""
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    for name, w in words.items():
+        obj.__dict__[name] = w = np.asarray(w, np.uint64)
+        w.flags.writeable = False
     return obj
 
 
 def _sequence(words) -> AlgorithmSeq:
-    """The ``AlgorithmSeq`` of proved (n+1, n) stage words, made read-only, unchecked."""
-    stack = np.asarray(words, np.uint64)
-    stack.flags.writeable = False
-    return _trusted(AlgorithmSeq, stack=stack)
+    """The ``AlgorithmSeq`` of proved (n+1, n) stage words, unchecked."""
+    return _trusted(AlgorithmSeq, stack=words)
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -73,7 +72,7 @@ class AlgorithmSeq:
         n = len(matrices) - 1
         if not 1 <= n <= N_MAX:
             raise DimensionError(f"an algorithm needs 2..{N_MAX + 1} stage matrices, got {n + 1}")
-        object.__setattr__(self, "stack", _check(matrices, n, "stage matrix {}"))
+        self.__dict__.update(vars(_sequence(_check(matrices, n, "stage matrix {}"))))
 
     @property
     def n(self) -> int:

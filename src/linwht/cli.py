@@ -38,7 +38,6 @@ from .membership import (
 from .oracle import evaluate, hadamard
 from .textio import (
     AlgorithmDocument,
-    ParseError,
     format_document,
     format_factors,
     format_sequence,
@@ -286,7 +285,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (ParseError, SizeLimitError, OSError, ValueError, MemoryError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

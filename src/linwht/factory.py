@@ -18,7 +18,8 @@ since P_{0:i} = B * C^i * D_{i+1},
     D_{i+1} = C^{-i} * X^{-1} * P_{0:i}.
 
 A ``FactorTuple`` holds the row words that ``factorize`` packs, ``build``
-reads and ``parse_factors`` decodes, checked on the rank-only loop.
+reads and ``parse_factors`` decodes; outside input is proved invertible,
+B and the Q_i as two stacks, by the check that ``AlgorithmSeq`` uses.
 
 The map is injective, so member counts equal parameter counts:
 |GL_n| * |GL_{n-1}|^n.
@@ -35,7 +36,7 @@ import numpy as np
 
 from .algorithm import AlgorithmSeq, _check, _sequence, _trusted
 from .config import BIT_INDEX_ENUM_MAX, MEMBER_ENUM_MAX, N_MAX
-from .gf2 import BitMatrix, DimensionError, SingularError, _eliminate, _mul_bits, _to_bits, _words
+from .gf2 import BitMatrix, DimensionError, _eliminate, _mul_bits, _to_bits, _words
 from .groups import _random_invertibles, enumerate_gl, enumerate_perm, random_invertible
 from .membership import NotMemberError, _structure, check_membership
 from .oracle import evaluate, hadamard
@@ -69,13 +70,10 @@ class FactorTuple:
         # the size bound comes first, as the rank check's stack elimination needs n <= 64
         if not 1 <= n <= N_MAX:
             raise DimensionError(f"B is {n}x{n}, expected n x n with 1 <= n <= {N_MAX}")
-        # B's rank is checked alone only when a later shape is wrong, to come before that error
-        bad = len(qs) != n or any(q.rows != n - 1 or q.cols != n - 1 for q in qs)
-        bw = _check((b,), n, "B", rank=bad)
+        bw = _check((b,), n, "B")
         if len(qs) != n:
             raise DimensionError(f"need exactly {n} inner matrices, got {len(qs)}")
-        qw = _check(qs, n - 1, "inner matrix {}", start=1, rank=False)
-        self.__dict__.update(vars(_factors(bw[0], qw, check=True)))
+        self.__dict__.update(vars(_factors(bw[0], _check(qs, n - 1, "inner matrix {}", start=1))))
 
     @property
     def n(self) -> int:
@@ -102,19 +100,8 @@ class FactorTuple:
         return _factors, (self.b_words, self.q_words)
 
 
-def _factors(b, q, check: bool = False) -> FactorTuple:
-    """The ``FactorTuple`` of row words b, (n,), and q, (n, n-1), made read-only; with ``check``,
-    once B and every D_i = diag(Q_i, 1), of rank rank(Q_i) + 1, are ranked in one stack
-    elimination, else an error for the first singular one, B before the Q_i."""
-    b, q = np.asarray(b, np.uint64), np.asarray(q, np.uint64)
-    if check:
-        n = len(b)
-        d = np.empty((n + 1, n), np.uint64)
-        d[0], d[1:, :-1], d[1:, -1] = b, q << np.uint64(1), 1
-        for i, rank in enumerate(_eliminate(d)[0].tolist()):
-            if rank != n:
-                raise SingularError(f"inner matrix {i} is singular" if i else "B is singular", rank - (i > 0))
-    b.flags.writeable = q.flags.writeable = False
+def _factors(b, q) -> FactorTuple:
+    """The ``FactorTuple`` of proved row words b, (n,), and q, (n, n-1), unchecked."""
     return _trusted(FactorTuple, b_words=b, q_words=q)
 
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .algorithm import AlgorithmSeq, _sequence
 from .config import N_MAX, _guard
-from .gf2 import BitMatrix, DimensionError, SingularError, _mul_bits, _packed, _to_bits, _words, parity
+from .gf2 import BitMatrix, DimensionError, SingularError, _mul_bits, _packed, _to_bits, _words
 from .groups import random_invertible
 
 __all__ = [
@@ -216,7 +216,10 @@ def predict_plus_set(P: AlgorithmSeq, i: int) -> frozenset[int]:
     if not report.cond_inverse:
         raise ConditionError("plus-set prediction needs the corner condition to hold")
     u = int(_words(_mul_bits(x_inv.T, _mul_bits(x_inv, _mul_bits(prefix[n], _to_bits(i, n))))))
-    return frozenset(j for j in range(1 << n) if parity(u & j) == 0)
+    odd = np.zeros(1 << n, bool)  # odd[j] = parity(u & j), by doubling: odd[j + 2^b] = odd[j] ^ bit b of u
+    for b in range(n):
+        np.logical_xor(odd[: 1 << b], (u >> b) & 1, out=odd[1 << b : 2 << b])
+    return frozenset(np.flatnonzero(~odd).tolist())
 
 
 def find_counterexample(

@@ -80,16 +80,11 @@ def perm_indices(maps, n: int) -> np.ndarray:
     return idx
 
 
-# the signed types an evaluation may run in, with their largest values
-_WORKING_TYPES = tuple((np.dtype(t), int(np.iinfo(t).max)) for t in (np.int16, np.int32, np.int64))
-
-
 def _working_dtype(n: int) -> np.dtype:
-    """The smallest signed integer type that holds every entry of a
-    2^n-point evaluation, whose magnitudes are at most 2^n."""
-    for t, top in _WORKING_TYPES:
-        if top >= 1 << n:
-            return t
+    """The smallest signed integer type that holds every entry of a 2^n-point evaluation,
+    whose magnitudes are at most 2^n: int16 up to n = 14, else int32, which holds them up
+    to n = 30, past any E that fits in memory."""
+    return np.dtype(np.int16 if n <= 14 else np.int32)
 
 
 # a butterfly along index bit b adds pieces of 2^b tiles; shorter pieces than this cost more per element

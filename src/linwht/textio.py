@@ -211,7 +211,7 @@ def parse_factors(text: str) -> FactorTuple:
             sc.expect(";")
         qs.append(sc.matrix(n - 1, n - 1, f"inner matrix {k}"))
     sc.finish("the factor matrices")
-    return _factors(_decode([b], n)[0], _decode(qs, n - 1), check=True)
+    return _factors(_proved(_decode([b], n), "B")[0], _proved(_decode(qs, n - 1), "inner matrix {}", 1))
 
 
 def format_factors(f: FactorTuple) -> str:

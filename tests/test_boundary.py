@@ -277,3 +277,9 @@ def test_stack_check_against_naive(n, seed, bad):
     names = ["B"] + [f"inner matrix {i}" for i in range(1, n + 1)]
     expected = _expected_error([(names[:1], [b], n), (names[1:], qs, n - 1)], {names[at] for at in spots})
     _assert_raises_expected(lambda: FactorTuple(b, tuple(qs)), expected)
+    if all(m.rows == m.cols == k for m, k in zip(mats, [n] + [n - 1] * n)):
+        # with only rank spoils, the parser proves the same matrices: the same error, or the same tuple
+        text = f"n={n}; " + "; ".join(m.to_text() for m in mats[: 1 if n == 1 else None])
+        _assert_raises_expected(lambda: parse_factors(text), expected)
+        if expected is None:
+            assert parse_factors(text) == FactorTuple(b, tuple(qs))
